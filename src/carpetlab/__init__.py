@@ -57,6 +57,7 @@ from .slicer import (
     slice_cover,
 )
 from .symbolic import (
+    RETURN_CONSTANT,
     ApproxSquare,
     RotationOrbit,
     SymbolWord,
@@ -65,7 +66,6 @@ from .symbolic import (
     coding_interval,
     cylinder_cover_count,
     fiber_constraints,
-    scanned_return_constant,
     shift,
 )
 

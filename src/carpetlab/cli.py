@@ -8,11 +8,8 @@ validation error, 4 axis-parallel line, 5 cell budget exceeded,
 from __future__ import annotations
 
 import argparse
-import dataclasses
 import json
-import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +45,7 @@ from .slicer import (
 from .symbolic import RotationOrbit
 
 SCHEMA = "carpet-lab/1"
-BOUNDARY_NUDGE = 1e-12  # applied to u0 when an orbit phase grazes a test endpoint
+BOUNDARY_NUDGE = 1e-12  # applied to u0 when float64 cannot certify a carry
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -57,39 +54,6 @@ EXIT_BUDGET = 5
 EXIT_EXHAUSTED = 6
 
 VALIDATION_ERRORS = (EmptyDigits, DigitOutOfRange, BadExponent, DomainError)
-
-
-@dataclasses.dataclass
-class RunConfig:
-    carpet_path: str
-    out_dir: str | None
-    fmt: str
-    seed: int
-    depths: tuple[int, int]
-    inflation: float
-    steps: int
-    block: int
-    probe_level: int
-    budget: int
-    stride: int
-    drop_head: int
-
-    @classmethod
-    def from_args(cls, args: argparse.Namespace) -> "RunConfig":
-        return cls(
-            carpet_path=getattr(args, "carpet", ""),
-            out_dir=getattr(args, "out", None),
-            fmt=getattr(args, "format", "json"),
-            seed=getattr(args, "seed", 0),
-            depths=getattr(args, "depths", (4, 12)),
-            inflation=getattr(args, "inflation", 0.0),
-            steps=getattr(args, "steps", 1000),
-            block=getattr(args, "block", 6),
-            probe_level=getattr(args, "probe_level", 2),
-            budget=getattr(args, "budget", DEFAULT_BUDGET),
-            stride=getattr(args, "stride", 1),
-            drop_head=getattr(args, "drop_head", 3),
-        )
 
 
 def _parse_depths(text: str) -> tuple[int, int]:
@@ -123,8 +87,9 @@ def _build_line(c: Carpet, u0, slope, t: float, sign: int, horizon: int) -> Line
         line = Line(slope=float(slope), intercept=t)
     else:
         line = Line.from_exponent(c.m, float(u0), intercept=t, sign=sign)
-    # a phase sitting exactly on a test endpoint makes the carry sequence
-    # numerically unstable; nudge the exponent by a documented epsilon
+    # an exponent whose carries float64 cannot certify up to the horizon sits
+    # on (or within rounding of) a carry boundary; nudge it by a documented
+    # epsilon
     exponent = line.exponent(c.m)
     if RotationOrbit(c.theta, exponent).near_boundary(horizon):
         exponent = (exponent + BOUNDARY_NUDGE) % 1.0
@@ -132,9 +97,9 @@ def _build_line(c: Carpet, u0, slope, t: float, sign: int, horizon: int) -> Line
     return line
 
 
-def _emit(cfg: RunConfig, name: str, content: str):
-    if cfg.out_dir:
-        atomic_write(Path(cfg.out_dir) / name, content)
+def _emit(out_dir: str | None, name: str, content: str):
+    if out_dir:
+        atomic_write(Path(out_dir) / name, content)
 
 
 def _report_json(payload: dict) -> str:
@@ -147,18 +112,17 @@ def _report_json(payload: dict) -> str:
 
 
 def cmd_analyze(args) -> int:
-    cfg = RunConfig.from_args(args)
-    c = load_carpet(cfg.carpet_path)
+    c = load_carpet(args.carpet)
     rep = dimension_report(c)
-    if cfg.fmt == "csv":
+    if args.format == "csv":
         fields = list(rep.to_dict().items())
         text = ",".join(k for k, _ in fields) + "\n" + ",".join(repr(v) for _, v in fields) + "\n"
         print(text, end="")
-        _emit(cfg, "report.csv", text)
+        _emit(args.out, "report.csv", text)
     else:
         text = rep.to_json()
         print(text)
-        _emit(cfg, "report.json", text + "\n")
+        _emit(args.out, "report.json", text + "\n")
     return 0
 
 
@@ -183,20 +147,19 @@ def _estimate_payload(c: Carpet, counts: list[tuple[int, int]], drop_head: int) 
 
 
 def cmd_slice(args) -> int:
-    cfg = RunConfig.from_args(args)
-    c = load_carpet(cfg.carpet_path)
-    lo, hi = cfg.depths
+    c = load_carpet(args.carpet)
+    lo, hi = args.depths
     line = _build_line(c, args.u0, args.slope, args.t, args.sign, hi + 1)
-    cover = slice_cover(c, line, hi, inflation=cfg.inflation, budget=cfg.budget)
+    cover = slice_cover(c, line, hi, inflation=args.inflation, budget=args.budget)
     counts = [(k, cover.counts[k]) for k in range(lo, hi + 1)]
     counts_csv = "k,N_k\n" + "".join(f"{k},{nk}\n" for k, nk in counts)
-    payload = _estimate_payload(c, counts, cfg.drop_head)
+    payload = _estimate_payload(c, counts, args.drop_head)
     payload["u0"] = line.exponent(c.m)
     payload["t"] = line.intercept
     text = json.dumps(payload, sort_keys=True)
-    print(counts_csv if cfg.fmt == "csv" else text, end="" if cfg.fmt == "csv" else "\n")
-    _emit(cfg, "slice_counts.csv", counts_csv)
-    _emit(cfg, "slice_estimate.json", text + "\n")
+    print(counts_csv if args.format == "csv" else text, end="" if args.format == "csv" else "\n")
+    _emit(args.out, "slice_counts.csv", counts_csv)
+    _emit(args.out, "slice_estimate.json", text + "\n")
     return 0
 
 
@@ -219,9 +182,8 @@ def _sweep_lines(args) -> list[tuple[str, float, float]]:
 
 
 def cmd_sweep(args) -> int:
-    cfg = RunConfig.from_args(args)
-    c = load_carpet(cfg.carpet_path)
-    lo, hi = cfg.depths
+    c = load_carpet(args.carpet)
+    lo, hi = args.depths
     params = _sweep_lines(args)
     bounds = carpet_bounds(c)
     header = "u0,t,slope,stderr,theorem_h,theorem_p,prior,marstrand_h,marstrand_p,error\n"
@@ -239,54 +201,46 @@ def cmd_sweep(args) -> int:
             else:
                 line = _build_line(c, None, value, t, args.sign, hi + 1)
             u0_str = repr(line.exponent(c.m))
-            cover = slice_cover(c, line, hi, inflation=cfg.inflation, budget=cfg.budget)
+            cover = slice_cover(c, line, hi, inflation=args.inflation, budget=args.budget)
             counts = [(k, cover.counts[k]) for k in range(lo, hi + 1)]
-            est = _estimate_payload(c, counts, cfg.drop_head)
+            est = _estimate_payload(c, counts, args.drop_head)
             return f"{u0_str},{t!r},{est['slope']!r},{est['stderr']!r},{base},\n"
         except Exception as exc:
             return f"{u0_str},{t!r},,,{base},{type(exc).__name__}\n"
 
-    workers = int(os.environ.get("CARPETLAB_THREADS", "0")) or (os.cpu_count() or 1)
-    workers = max(1, min(workers, len(params)))
-    if workers == 1:
-        rows = [one(p) for p in params]
-    else:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            rows = list(pool.map(one, params))
-    text = header + "".join(rows)
+    text = header + "".join([one(p) for p in params])
     print(text, end="")
-    _emit(cfg, "sweep.csv", text)
+    _emit(args.out, "sweep.csv", text)
     return 0
 
 
 def cmd_scenery(args) -> int:
-    cfg = RunConfig.from_args(args)
-    c = load_carpet(cfg.carpet_path)
-    lo, hi = cfg.depths
-    line = _build_line(c, args.u0, args.slope, args.t, args.sign, cfg.steps + 1)
-    cover = slice_cover(c, line, hi, inflation=cfg.inflation, budget=cfg.budget)
+    c = load_carpet(args.carpet)
+    lo, hi = args.depths
+    line = _build_line(c, args.u0, args.slope, args.t, args.sign, args.steps + 1)
+    cover = slice_cover(c, line, hi, inflation=args.inflation, budget=args.budget)
     if not cover.cells:
         text = _report_json({"empty": True, "u0": line.exponent(c.m), "t": line.intercept})
         print(text)
-        _emit(cfg, "chain.json", text + "\n")
-        _emit(cfg, "orbit.jsonl", "")
+        _emit(args.out, "chain.json", text + "\n")
+        _emit(args.out, "orbit.jsonl", "")
         return 0
     mu0 = DiscreteMeasure.uniform_on(np.array([sq.center() for sq in cover.cells]))
-    word_len = cfg.steps + cfg.block + 2
+    word_len = args.steps + args.block + 2
     state = state_from_cell(c, cover.cells[0], mu0, line.exponent(c.m), word_len)
     summary = run_scenery(
-        state, cfg.steps, c.theta, probe_level=cfg.probe_level, stride=cfg.stride
+        state, args.steps, c.theta, probe_level=args.probe_level, stride=args.stride
     )
-    triple = empirical_measures_linear(state.omega, cfg.steps, c.theta, block=cfg.block)
+    triple = empirical_measures_linear(state.omega, args.steps, c.theta, block=args.block)
     gamma = finite_scale_dimension(mu0, c.n, range(2, max(3, min(hi, 8)) + 1))
-    chain = bound_chain_report(c, triple, block=cfg.block, gamma_proxy=gamma)
+    chain = bound_chain_report(c, triple, block=args.block, gamma_proxy=gamma)
     chain_payload = chain.to_dict()
     chain_payload["triple"] = triple.to_dict()
     chain_payload["exhausted_at"] = summary.exhausted_at
     chain_text = json.dumps(chain_payload, sort_keys=True)
     print(chain_text)
-    _emit(cfg, "orbit.jsonl", summary.to_jsonl())
-    _emit(cfg, "chain.json", chain_text + "\n")
+    _emit(args.out, "orbit.jsonl", summary.to_jsonl())
+    _emit(args.out, "chain.json", chain_text + "\n")
     if summary.exhausted_at is not None:
         print(f"measure support exhausted at step {summary.exhausted_at}", file=sys.stderr)
         return EXIT_EXHAUSTED

@@ -93,11 +93,3 @@ class InsufficientData(CarpetLabError):
 
 class BlockTooDeep(CarpetLabError):
     pass
-
-
-class AtomExhaustion(CarpetLabError):
-    """Conditioning emptied the double-precision support of the measure."""
-
-    def __init__(self, step: int, message: str | None = None):
-        self.step = step
-        super().__init__(message or f"measure support exhausted at step {step}")

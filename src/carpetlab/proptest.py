@@ -210,20 +210,9 @@ def check_carry_shift_composition(rng: np.random.Generator) -> CheckResult:
     return CheckResult("carry_shift_composition", True, 20)
 
 
-def check_return_constant_stable() -> CheckResult:
-    theta = example_carpet().theta
-    c_small = sy.scanned_return_constant(theta, 2000, 64)
-    c_large = sy.scanned_return_constant(theta, 8000, 64)
-    ok = c_small == c_large
-    return CheckResult(
-        "return_constant_stable", ok, 2, detail=f"C={c_small} vs {c_large}" if not ok else f"C={c_small}"
-    )
-
-
 def check_approx_square_diameter(rng: np.random.Generator) -> CheckResult:
     c = example_carpet()
-    const = sy.scanned_return_constant(c.theta)
-    geo = math.sqrt(2.0) * c.m ** max(const, 1)
+    geo = math.sqrt(2.0) * c.m**sy.RETURN_CONSTANT
     for _ in range(50):
         u0 = float(rng.random())
         k = int(rng.integers(1, 16))
@@ -491,7 +480,6 @@ ALL_CHECKS = [
     ("cylinder_lower_bound", check_cylinder_lower_bound),
     ("coding_interval_nesting", check_coding_interval_nesting),
     ("carry_shift_composition", check_carry_shift_composition),
-    ("return_constant_stable", lambda rng: check_return_constant_stable()),
     ("approx_square_diameter", check_approx_square_diameter),
     ("entropy_bounds", check_entropy_bounds),
     ("entropy_concavity", check_entropy_concavity),

@@ -11,7 +11,6 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from functools import lru_cache
 
 import numpy as np
 
@@ -97,12 +96,19 @@ def format_interval(iv: tuple[Fraction, Fraction]) -> str:
     return f"[{lo.numerator}/{lo.denominator}, {hi.numerator}/{hi.denominator})"
 
 
+# R(k) - floor(theta*k) = floor(theta*k + u0 + theta) - floor(theta*k), and
+# u0 + theta lies in [0, 2), so the difference is always 0, 1 or 2.
+RETURN_CONSTANT = 2
+
+
 class RotationOrbit:
     """Orbit of ``u0`` under repeated addition of ``theta`` mod 1.
 
-    Fractional parts are accumulated in extended precision (the products
-    ``i * theta`` are exactly rounded) and cached; the cache is replaced,
-    never mutated, so instances are safe to share across threads.
+    The phase at index i lies in the carry window [1 - theta, 1) exactly
+    when floor(u0 + (i+1)*theta) exceeds floor(u0 + i*theta), so the number
+    of carries at indices 0..k telescopes to R(k) = floor(u0 + (k+1)*theta).
+    ``theta`` and ``u0`` are taken as the exact rationals their doubles
+    represent.
     """
 
     def __init__(self, theta: float, u0: float = 0.0):
@@ -112,61 +118,39 @@ class RotationOrbit:
             raise ValueError(f"u0 must be in [0, 1), got {u0}")
         self.theta = float(theta)
         self.u0 = float(u0)
-        self._phases = self._compute(0)
-
-    def _compute(self, k: int) -> np.ndarray:
-        i = np.arange(k + 1, dtype=np.longdouble)
-        ph = np.mod(np.longdouble(self.u0) + i * np.longdouble(self.theta), np.longdouble(1.0))
-        return ph
-
-    def phases(self, k: int) -> np.ndarray:
-        """Fractional parts of u0 + i*theta for i = 0..k (float64 copy)."""
-        if len(self._phases) <= k:
-            self._phases = self._compute(k)
-        return self._phases[: k + 1].astype(np.float64)
 
     def phase(self, i: int) -> float:
-        return float(self.phases(i)[i])
+        """frac(u0 + i*theta), computed exactly and rounded once."""
+        return float((Fraction(self.u0) + i * Fraction(self.theta)) % 1)
 
-    def _members(self, k: int) -> np.ndarray:
-        if len(self._phases) <= k:
-            self._phases = self._compute(k)
-        lo = np.longdouble(1.0) - np.longdouble(self.theta)
-        return self._phases[: k + 1] >= lo
+    def _floors(self, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """floor(u0 + j*theta) for integers j >= 1, and the undecided mask.
+
+        The float64 value v carries two roundings, each at most ulp(v) / 2,
+        so its floor is certified unless v lies within 4 * spacing(v) of an
+        integer.  Those undecided entries are recomputed exactly.
+        """
+        v = self.u0 + j * self.theta
+        undecided = np.abs(v - np.rint(v)) <= 4.0 * np.spacing(v)
+        floors = np.floor(v).astype(np.int64)
+        if undecided.any():
+            u, th = Fraction(self.u0), Fraction(self.theta)
+            floors[undecided] = [math.floor(u + int(x) * th) for x in j[undecided]]
+        return floors, undecided
 
     def return_count(self, k: int) -> int:
         """Number of i in 0..k with frac(u0 + i*theta) in [1 - theta, 1)."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        return int(np.count_nonzero(self._members(k)))
+        return int(self._floors(np.array([k + 1.0]))[0][0])
 
     def return_counts(self, k: int) -> np.ndarray:
         """Cumulative return counts: entry i equals return_count(i)."""
-        return np.cumsum(self._members(k).astype(np.int64))
+        return self._floors(np.arange(1, k + 2, dtype=np.float64))[0]
 
-    def near_boundary(self, k: int, tol: float = 1e-15) -> bool:
-        """True if any phase up to index k sits within tol of a test endpoint."""
-        ph = self.phases(k)
-        lo = 1.0 - self.theta
-        return bool(np.any(np.abs(ph - lo) < tol) or np.any(ph > 1.0 - tol))
-
-
-@lru_cache(maxsize=32)
-def scanned_return_constant(theta: float, k_max: int = 10_000, grid: int = 128) -> int:
-    """Empirical uniform bound on |return_count(k) - floor(theta*k)|.
-
-    Scans a grid of starting phases up to k_max.  The window [1 - theta, 1)
-    has length theta, so the deviation stays bounded; the scan reports the
-    observed supremum (an integer ceiling).
-    """
-    worst = 0.0
-    ks = np.arange(k_max + 1, dtype=np.float64)
-    floor_tk = np.floor(theta * ks)
-    for i in range(grid):
-        orbit = RotationOrbit(theta, i / grid)
-        dev = np.abs(orbit.return_counts(k_max) - floor_tk)
-        worst = max(worst, float(dev.max()))
-    return int(math.ceil(worst))
+    def near_boundary(self, k: int) -> bool:
+        """True if float64 could not certify a carry at some index up to k."""
+        return bool(self._floors(np.arange(1, k + 2, dtype=np.float64))[1].any())
 
 
 @dataclass(frozen=True)
@@ -285,7 +269,8 @@ def fiber_constraints(
     ``y[i + p]`` where p is the return count, for i up to about
     (1 - theta) * k / theta.  The tail of that range is only valid up to a
     bounded correction, so the last ``trim`` constraints are dropped
-    (default: ceil(C / theta) with C the scanned return-count constant).
+    (default: ceil(RETURN_CONSTANT / theta), RETURN_CONSTANT being the
+    proven bound on R(k) - floor(theta * k)).
     """
     theta = orbit.theta
     p = orbit.return_count(k)
@@ -294,6 +279,6 @@ def fiber_constraints(
     if len(y_word) < needed:
         raise WordTooShort(f"need y length >= {needed}, have {len(y_word)}")
     if trim is None:
-        trim = math.ceil(scanned_return_constant(theta) / theta)
+        trim = math.ceil(RETURN_CONSTANT / theta)
     count = max(0, full - trim)
     return [c.row_digits(y_word[p + i]) for i in range(count)]

@@ -193,15 +193,6 @@ def test_sweep_axis_parallel_row_tagged(example_file, capsys):
     assert tags == ["", "AxisParallelLine", ""]
 
 
-def test_sweep_deterministic_across_threads(example_file, tmp_path, capsys, monkeypatch):
-    outputs = []
-    for threads in ("1", "4"):
-        monkeypatch.setenv("CARPETLAB_THREADS", threads)
-        assert main(["sweep", "--carpet", example_file, "--grid", "4x2", "--depths", "4..9"]) == 0
-        outputs.append(capsys.readouterr().out)
-    assert outputs[0] == outputs[1]
-
-
 # -- scenery --
 
 
