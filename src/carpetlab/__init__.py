@@ -4,7 +4,6 @@ for self-affine grid carpets."""
 from .carpet import (
     Carpet,
     DimensionReport,
-    RowStats,
     box_packing_dimension,
     dimension_report,
     hausdorff_chain,
@@ -17,7 +16,6 @@ from .carpet import (
     prior_slice_bound,
     slice_dimension_bound,
     star_dimension,
-    transpose,
 )
 from .io import dump_carpet, load_carpet, parse_carpet
 from .measures import (

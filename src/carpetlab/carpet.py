@@ -78,20 +78,6 @@ class Carpet:
         counts = set(self.row_count.values())
         return len(counts) == 1
 
-    def row_stats(self) -> RowStats:
-        return RowStats(
-            occupied_rows=self.rows,
-            row_count=dict(self.row_count),
-            total=self.size,
-        )
-
-
-@dataclass(frozen=True)
-class RowStats:
-    occupied_rows: tuple[int, ...]
-    row_count: dict[int, int]
-    total: int
-
 
 def new_carpet(m: int, n: int, digits: Iterable[Digit]) -> Carpet:
     """Validate and canonicalize a carpet definition.
@@ -113,11 +99,6 @@ def new_carpet(m: int, n: int, digits: Iterable[Digit]) -> Carpet:
         m, n = n, m
         digit_set = frozenset((y, x) for x, y in digit_set)
     return Carpet(m=m, n=n, digits=digit_set)
-
-
-def transpose(c: Carpet) -> Carpet:
-    """Swap the two axes; the result is re-canonicalized."""
-    return new_carpet(c.n, c.m, [(y, x) for x, y in c.digits])
 
 
 def independence_check(c: Carpet) -> bool:

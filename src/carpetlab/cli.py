@@ -30,6 +30,7 @@ from .errors import (
 from .io import atomic_write, load_carpet
 from .measures import DiscreteMeasure, finite_scale_dimension
 from .scenery import (
+    MAX_STEPS,
     bound_chain_report,
     empirical_measures_linear,
     run_scenery,
@@ -64,14 +65,14 @@ def _parse_depths(text: str) -> tuple[int, int]:
         raise argparse.ArgumentTypeError(f"depths must look like 4..12, got {text!r}") from exc
     if lo > hi:
         raise argparse.ArgumentTypeError("depth range is empty")
+    if lo < 0:
+        raise argparse.ArgumentTypeError("depths must be >= 0")
     return lo, hi
 
 
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--carpet", required=True, help="carpet definition file")
     p.add_argument("--out", default=None, help="directory for report files")
-    p.add_argument("--format", choices=["json", "csv"], default="json")
-    p.add_argument("--seed", type=int, default=0)
 
 
 def _add_line_args(p: argparse.ArgumentParser):
@@ -215,6 +216,12 @@ def cmd_sweep(args) -> int:
 
 
 def cmd_scenery(args) -> int:
+    if not 1 <= args.steps <= MAX_STEPS:
+        raise ValueError(f"steps must be in 1..{MAX_STEPS}, got {args.steps}")
+    if args.block < 1:
+        raise ValueError(f"block must be >= 1, got {args.block}")
+    if args.stride < 1:
+        raise ValueError(f"stride must be >= 1, got {args.stride}")
     c = load_carpet(args.carpet)
     lo, hi = args.depths
     line = _build_line(c, args.u0, args.slope, args.t, args.sign, args.steps + 1)
@@ -278,10 +285,12 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("analyze", help="closed-form dimension report for a carpet")
     _add_common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     p.set_defaults(fn=cmd_analyze)
 
     p = sub.add_parser("slice", help="multiscale cover counts and slope for one line")
     _add_common(p)
+    p.add_argument("--format", choices=["json", "csv"], default="json")
     _add_line_args(p)
     p.add_argument("--depths", type=_parse_depths, default=(4, 12), help="A..B inclusive")
     p.add_argument("--inflation", type=float, default=0.0)

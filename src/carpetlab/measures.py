@@ -2,7 +2,6 @@
 
 from __future__ import annotations
 
-import io
 import math
 from dataclasses import dataclass
 from typing import Iterable, Sequence
@@ -75,21 +74,6 @@ class DiscreteMeasure:
         n = len(pts)
         return cls(pts, np.full(n, 1.0 / n))
 
-    def to_csv(self) -> str:
-        buf = io.StringIO()
-        buf.write("x,y,weight\n")
-        for (x, y), w in zip(self.points, self.weights):
-            buf.write(f"{float(x)!r},{float(y)!r},{float(w)!r}\n")
-        return buf.getvalue()
-
-    @classmethod
-    def from_csv(cls, text: str) -> "DiscreteMeasure":
-        lines = [ln for ln in text.splitlines() if ln.strip()]
-        rows = [ln.split(",") for ln in lines[1:]]
-        pts = np.array([[float(r[0]), float(r[1])] for r in rows], dtype=np.float64)
-        wts = np.array([float(r[2]) for r in rows], dtype=np.float64)
-        return cls(pts.reshape(-1, 2), wts)
-
 
 @dataclass(frozen=True)
 class GridPartition:
@@ -108,18 +92,6 @@ class GridPartition:
     @classmethod
     def square(cls, base: int, level: int) -> "GridPartition":
         return cls(base, level, base, level)
-
-    @classmethod
-    def x_only(cls, base: int, level: int) -> "GridPartition":
-        return cls(base, level, base, 0)
-
-    @classmethod
-    def y_only(cls, base: int, level: int) -> "GridPartition":
-        return cls(base, 0, base, level)
-
-    @classmethod
-    def mixed(cls, x_base: int, x_level: int, y_base: int, y_level: int) -> "GridPartition":
-        return cls(x_base, x_level, y_base, y_level)
 
     def cell_indices(self, points: np.ndarray) -> np.ndarray:
         xs = self.x_base ** self.x_level

@@ -49,11 +49,6 @@ class SceneryState:
     def n(self) -> int:
         return self.y_word.alphabet_size
 
-    def point(self) -> tuple[float, float]:
-        x = sum(s / self.m ** (i + 1) for i, s in enumerate(self.x_word.symbols))
-        y = sum(s / self.n ** (i + 1) for i, s in enumerate(self.y_word.symbols))
-        return x, y
-
 
 def _point_cell(state: SceneryState, carry: bool) -> ApproxSquare:
     x_prefix = state.x_word.prefix(1) if carry else SymbolWord(state.m, ())
@@ -231,10 +226,6 @@ class BlockTable:
     def rate_curve(self) -> list[float]:
         """Block entropy over block length, for each available length."""
         return [self.entropy(b) / b for b in range(1, self.depth + 1)]
-
-    @property
-    def total(self) -> float:
-        return float(sum(self.tables[1].values()))
 
 
 def _window_table(symbols: tuple[int, ...], start: int, stop: int, depth: int) -> BlockTable:

@@ -13,7 +13,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from fractions import Fraction
-from typing import Callable, Iterable
+from typing import Iterable
 
 import numpy as np
 
@@ -128,48 +128,49 @@ def _roots(c: Carpet, p0: int) -> list[_Node]:
     return [((a,), ()) for a in c.columns]
 
 
-CellTest = Callable[[int, int, int, int], bool]
-
-
 def _walk(
     c: Carpet,
     orbit: RotationOrbit,
-    test: CellTest,
+    line: Line,
+    inflation: float,
     max_depth: int,
     budget: int,
-    collect_depth: int | None,
 ) -> tuple[list[int], list[_Node]]:
     """Depth-first pruned traversal; returns kept counts per depth and the
-    kept nodes at ``collect_depth``.  Deterministic: children are expanded
-    in lexicographic digit order."""
+    kept nodes at ``max_depth``.  Deterministic: children are expanded in
+    lexicographic digit order."""
     returns = orbit.return_counts(max_depth + 1)
     visited = 0
     counts = [0] * (max_depth + 1)
     collected: list[_Node] = []
     stack: list[tuple[_Node, int]] = []
 
-    def admit(node: _Node, depth: int) -> bool:
+    def admit(node: _Node) -> bool:
         nonlocal visited
         visited += 1
         if visited > budget:
             raise CellBudgetExceeded(f"visited more than {budget} cells")
         xw, yw = node
-        x_scale = c.m ** len(xw)
-        y_scale = c.n ** len(yw)
-        x_index = _digits_to_index(xw, c.m)
-        y_index = _digits_to_index(yw, c.n)
-        return test(x_index, x_scale, y_index, y_scale)
+        return _line_meets_cell(
+            line.slope,
+            line.intercept,
+            inflation,
+            _digits_to_index(xw, c.m),
+            c.m ** len(xw),
+            _digits_to_index(yw, c.n),
+            c.n ** len(yw),
+        )
 
     for root in reversed(_roots(c, int(returns[0]))):
         stack.append((root, 0))
     while stack:
         node, depth = stack.pop()
-        if not admit(node, depth):
+        if not admit(node):
             continue
         counts[depth] += 1
-        if collect_depth is not None and depth == collect_depth:
+        if depth == max_depth:
             collected.append(node)
-        if depth < max_depth:
+        else:
             carry = returns[depth + 1] > returns[depth]
             for child in reversed(list(_children(c, node, depth, bool(carry)))):
                 stack.append((child, depth + 1))
@@ -216,13 +217,7 @@ def slice_cover(
     if inflation < 0.0:
         raise ValueError("inflation must be >= 0")
     orbit = RotationOrbit(c.theta, line.exponent(c.m))
-
-    def test(x_index: int, x_scale: int, y_index: int, y_scale: int) -> bool:
-        return _line_meets_cell(
-            line.slope, line.intercept, inflation, x_index, x_scale, y_index, y_scale
-        )
-
-    counts, nodes = _walk(c, orbit, test, depth, budget, depth)
+    counts, nodes = _walk(c, orbit, line, inflation, depth, budget)
     cells = [_node_to_square(c, nd) for nd in nodes]
     return SliceCover(depth=depth, cells=cells, counts=counts, inflation=inflation, line=line)
 

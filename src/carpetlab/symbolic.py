@@ -45,14 +45,6 @@ class SymbolWord:
             raise WordTooShort(f"need {k} symbols, have {len(self.symbols)}")
         return SymbolWord(self.alphabet_size, self.symbols[:k])
 
-    def serialize(self) -> str:
-        return ",".join(str(s) for s in self.symbols)
-
-    @classmethod
-    def parse(cls, text: str, alphabet_size: int) -> "SymbolWord":
-        items = tuple(int(t) for t in text.split(",") if t.strip() != "")
-        return cls(alphabet_size, items)
-
 
 def shift(w: SymbolWord) -> SymbolWord:
     """Drop the first symbol."""
@@ -89,11 +81,6 @@ def coding_interval(w: SymbolWord, base: int | None = None) -> tuple[Fraction, F
         scale /= base
         value += s * scale
     return value, value + scale
-
-
-def format_interval(iv: tuple[Fraction, Fraction]) -> str:
-    lo, hi = iv
-    return f"[{lo.numerator}/{lo.denominator}, {hi.numerator}/{hi.denominator})"
 
 
 # R(k) - floor(theta*k) = floor(theta*k + u0 + theta) - floor(theta*k), and

@@ -1,5 +1,6 @@
 import json
 
+import numpy as np
 import pytest
 
 from carpetlab.cli import main
@@ -296,21 +297,66 @@ def test_scenery_empty_slice(example_file, capsys):
     assert payload["empty"] is True
 
 
+# -- parameter validation --
+
+
+def test_slice_rejects_negative_depth(example_file, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["slice", "--carpet", example_file, "--u0", "0.4", "--depths=-3..6"])
+    assert exc.value.code == 2
+    assert "depths must be >= 0" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "flag,value",
+    [("--steps", "1000000"), ("--steps", "0"), ("--block", "0"), ("--stride", "0")],
+)
+def test_scenery_rejects_bad_integer_parameter(full_file, capsys, flag, value):
+    code = main(["scenery", "--carpet", full_file, "--slope", "1.0", flag, value])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith(f"parameter error: {flag[2:]} must be")
+
+
 # -- proptest --
 
 
-def test_proptest_seed_invariance_of_hard_checks(rng):
-    import numpy as np
-
-    for seed in (3, 17):
-        r = proptest.check_gibbs_chains(np.random.default_rng(seed), vectors_per_carpet=200)
-        assert r.passed
-        r = proptest.check_magnify_identity(np.random.default_rng(seed), starts=3, k_max=8)
-        assert r.passed
+def _fake_family(name, passed, hard=True, detail=""):
+    return name, lambda rng: proptest.CheckResult(name, passed, 3, hard=hard, detail=detail)
 
 
-def test_proptest_cli_smoke(capsys):
-    assert main(["proptest", "--seed", "0"]) == 0
-    out = capsys.readouterr().out
-    assert "PASS dimension_ordering" in out
-    assert "FAIL" not in out
+def _raising_family(rng):
+    raise RuntimeError("broken family")
+
+
+def _seeded_family(rng):
+    return proptest.CheckResult("seeded", True, int(rng.integers(1000)))
+
+
+def test_proptest_cli_wiring(monkeypatch, tmp_path, capsys):
+    passing = [
+        _fake_family("hard_ok", True),
+        _fake_family("diag_bad", False, hard=False, detail="2 misses"),
+        ("seeded", _seeded_family),
+    ]
+    monkeypatch.setattr(proptest, "ALL_CHECKS", passing)
+    out = tmp_path / "reports"
+    assert main(["proptest", "--seed", "5", "--out", str(out)]) == 0
+    text = capsys.readouterr().out
+    cases = int(np.random.default_rng(5).integers(1000))
+    assert text == (
+        "PASS hard_ok (cases=3)\n"
+        "FAIL diag_bad (cases=3) [diagnostic] -- 2 misses\n"
+        f"PASS seeded (cases={cases})\n"
+    )
+    assert (out / "proptest.txt").read_text() == text
+
+    failing = [_fake_family("hard_bad", False), ("raises", _raising_family)]
+    monkeypatch.setattr(proptest, "ALL_CHECKS", passing + failing)
+    assert main(["proptest"]) == 1
+    lines = capsys.readouterr().out.splitlines()
+    assert lines[3:] == [
+        "FAIL hard_bad (cases=3)",
+        "FAIL raises (cases=0) -- error: RuntimeError('broken family')",
+    ]

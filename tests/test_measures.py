@@ -88,38 +88,13 @@ def test_entropy_requires_normalized():
     assert mu.normalized().is_normalized
 
 
-def test_entropy_upper_bound_fuzz(rng):
-    for _ in range(500):
-        n = int(rng.integers(1, 30))
-        mu = DiscreteMeasure(rng.random((n, 2)), rng.dirichlet(np.ones(n)))
-        part = GridPartition.square(int(rng.integers(2, 5)), int(rng.integers(1, 5)))
-        rep = entropy(mu, part)
-        assert 0.0 <= rep.entropy <= math.log(max(rep.cell_count, 1)) + 1e-9
-
-
-def test_entropy_concavity_fuzz(rng):
-    part = GridPartition.square(2, 3)
-    for _ in range(300):
-        n1, n2 = int(rng.integers(1, 20)), int(rng.integers(1, 20))
-        mu = DiscreteMeasure(rng.random((n1, 2)), rng.dirichlet(np.ones(n1)))
-        nu = DiscreteMeasure(rng.random((n2, 2)), rng.dirichlet(np.ones(n2)))
-        mix = DiscreteMeasure(
-            np.vstack([mu.points, nu.points]),
-            np.concatenate([mu.weights, nu.weights]) / 2.0,
-        )
-        assert (
-            entropy(mix, part).entropy
-            >= 0.5 * entropy(mu, part).entropy + 0.5 * entropy(nu, part).entropy - 1e-9
-        )
-
-
 def test_mixed_partition_axes():
     mu = DiscreteMeasure.uniform_on([[0.1, 0.2], [0.8, 0.2], [0.1, 0.9]])
-    part_x = GridPartition.x_only(3, 1)
+    part_x = GridPartition(3, 1, 3, 0)
     assert entropy(mu, part_x).cell_count == 2
-    part_y = GridPartition.y_only(2, 1)
+    part_y = GridPartition(2, 0, 2, 1)
     assert entropy(mu, part_y).cell_count == 2
-    part = GridPartition.mixed(3, 1, 2, 1)
+    part = GridPartition(3, 1, 2, 1)
     assert entropy(mu, part).cell_count == 3
 
 
@@ -133,15 +108,6 @@ def test_gibbs_gap_examples():
         gibbs_gap([0.5, 0.5], [1.0, 0.0])
     with pytest.raises(SupportMismatch):
         gibbs_gap([0.5, 0.5], [0.3, 0.3, 0.4])
-
-
-def test_gibbs_gap_nonnegative_fuzz(rng):
-    for _ in range(1000):
-        n = int(rng.integers(2, 9))
-        p = rng.dirichlet(np.ones(n))
-        q = rng.dirichlet(np.ones(n))
-        assert gibbs_gap(p, q) >= 0.0
-        assert gibbs_gap(p, p) <= 1e-12
 
 
 # -- conditioning --
@@ -172,32 +138,6 @@ def test_condition_rescale_zero_mass():
     cell = ApproxSquare(SymbolWord(3, (2,)), SymbolWord(2, (1,)))
     with pytest.raises(ZeroMassCell):
         condition_rescale(mu, cell)
-
-
-def test_condition_rescale_mass_fuzz(rng):
-    for _ in range(300):
-        n = int(rng.integers(1, 50))
-        mu = DiscreteMeasure(rng.random((n, 2)), rng.dirichlet(np.ones(n)))
-        x, y = mu.points[int(rng.integers(0, n))]
-        p, k = int(rng.integers(0, 3)), int(rng.integers(0, 3))
-        xw = tuple(int(x * 3**i * 3) % 3 for i in range(p))  # junk prefix ok
-        cell = ApproxSquare(
-            SymbolWord(3, _digits(x, 3, p)), SymbolWord(2, _digits(y, 2, k))
-        )
-        out = condition_rescale(mu, cell)
-        assert abs(out.total_mass - 1.0) < 1e-12
-        assert out.points.min() >= 0.0 and out.points.max() < 1.0
-
-
-def _digits(value: float, base: int, length: int) -> tuple[int, ...]:
-    out = []
-    v = value
-    for _ in range(length):
-        v *= base
-        d = int(v)
-        out.append(min(d, base - 1))
-        v -= d
-    return tuple(out)
 
 
 # -- restricted entropy --
@@ -320,12 +260,3 @@ def test_finite_scale_dimension_needs_levels():
     with pytest.raises(InsufficientLevels):
         finite_scale_dimension(DiscreteMeasure.point_mass(0.1, 0.1), 2, [3])
 
-
-# -- serialization --
-
-
-def test_csv_roundtrip(rng):
-    mu = DiscreteMeasure(rng.random((7, 2)), rng.dirichlet(np.ones(7)))
-    back = DiscreteMeasure.from_csv(mu.to_csv())
-    assert np.array_equal(back.points, mu.points)
-    assert np.array_equal(back.weights, mu.weights)

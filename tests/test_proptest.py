@@ -1,0 +1,26 @@
+"""The proptest families are the tier-1 tests of the randomized invariants:
+each family in ``proptest.ALL_CHECKS`` runs here once, at seed 0."""
+
+import numpy as np
+import pytest
+
+from carpetlab import proptest
+
+
+@pytest.mark.parametrize(
+    "name,check", proptest.ALL_CHECKS, ids=[name for name, _ in proptest.ALL_CHECKS]
+)
+def test_family(name, check):
+    result = check(np.random.default_rng(0))
+    assert result.name == name
+    assert result.passed or not result.hard, result.detail
+
+
+def test_proptest_seed_invariance_of_hard_checks(rng):
+    import numpy as np
+
+    for seed in (3, 17):
+        r = proptest.check_gibbs_chains(np.random.default_rng(seed), vectors_per_carpet=200)
+        assert r.passed
+        r = proptest.check_magnify_identity(np.random.default_rng(seed), starts=3, k_max=8)
+        assert r.passed

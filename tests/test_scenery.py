@@ -4,16 +4,13 @@ import numpy as np
 import pytest
 
 from carpetlab import (
-    ApproxSquare,
     DiscreteMeasure,
     GridPartition,
     Line,
-    RotationOrbit,
     SceneryState,
     SymbolWord,
     bound_chain_report,
     box_packing_dimension,
-    condition_rescale,
     cover_measure,
     empirical_measures_exponential,
     empirical_measures_linear,
@@ -24,12 +21,10 @@ from carpetlab import (
     run_scenery,
     select_entropy_subsequence,
     slice_cover,
-    star_discrepancy,
     state_from_cell,
 )
 from carpetlab.errors import BlockTooDeep, WordTooShort, ZeroMassCell
 from carpetlab.scenery import BlockTable, EmpiricalTriple, exponential_windows
-from carpetlab.proptest import interior_word, random_carpet
 
 
 def full_grid_measure(c, depth):
@@ -99,29 +94,6 @@ def test_magnify_zero_mass_cell():
         magnify_step(state, c.theta)
 
 
-def test_iterated_magnification_equals_direct_conditioning(rng):
-    for _ in range(25):
-        c = random_carpet(rng, m_max=5)
-        word = interior_word(rng, c, 20)
-        x = sum(a / c.m ** (i + 1) for i, (a, _) in enumerate(word))
-        y = sum(b / c.n ** (i + 1) for i, (_, b) in enumerate(word))
-        extra = rng.random((int(rng.integers(3, 30)), 2))
-        pts = np.vstack([[x, y], extra])
-        mu = DiscreteMeasure(pts, rng.dirichlet(np.ones(len(pts))))
-        u0 = float(rng.random())
-        state0 = carpet_point_state(c, mu, word, u0)
-        orbit = RotationOrbit(c.theta, u0)
-        state = state0
-        for k in range(1, 13):
-            state = magnify_step(state, c.theta)
-            p = orbit.return_count(k - 1)
-            square = ApproxSquare(state0.x_word.prefix(p), state0.y_word.prefix(k))
-            direct = condition_rescale(mu, square)
-            assert len(direct) == len(state.mu)
-            assert np.max(np.abs(direct.points - state.mu.points)) <= 1e-9
-            assert np.max(np.abs(direct.weights - state.mu.weights)) <= 1e-9
-
-
 # -- orbit summaries --
 
 
@@ -172,13 +144,6 @@ def test_run_scenery_caps_steps(full_square):
         run_scenery(state, 10**5 + 1, full_square.theta)
 
 
-def test_phase_track_equidistributes(full_square):
-    mu = DiscreteMeasure.point_mass(0.0, 0.0)
-    state = carpet_point_state(full_square, mu, [(0, 0)] * 10_004, u0=0.0)
-    summary = run_scenery(state, 10_000, full_square.theta, stride=2000)
-    assert star_discrepancy(summary.phases) <= 0.02
-
-
 def test_state_from_cell_words_are_carpet_consistent(example):
     line = Line.from_exponent(example.m, 0.3, 0.2)
     cover = slice_cover(example, line, 6)
@@ -211,17 +176,6 @@ def test_linear_windows_periodic_word(example):
     for table in (triple.nu, triple.eta, triple.rho):
         vec = table.vector((0, 1))
         assert np.all(np.abs(vec - 0.5) < 10.0 / n)
-
-
-def test_linear_windows_residual_shrinks(rng, example):
-    theta = example.theta
-    for _ in range(5):
-        symbols = tuple(int(s) for s in rng.choice(example.rows, size=10_008))
-        word = SymbolWord(2, symbols)
-        r100 = empirical_measures_linear(word, 100, theta, block=4).residual_tv
-        r10k = empirical_measures_linear(word, 10_000, theta, block=4).residual_tv
-        assert r10k < r100
-        assert r10k < 0.05
 
 
 def test_linear_windows_word_too_short(example):
@@ -321,16 +275,13 @@ def test_bound_chain_block_too_deep(example):
 
 
 def test_bound_chain_from_real_words(rng, example):
+    # the chain slacks are the bound_chain proptest family; this checks the
+    # reported rate curve, which may rise by at most the finite-window error
     for _ in range(50):
         symbols = tuple(int(s) for s in rng.choice(example.rows, size=1200))
         word = SymbolWord(2, symbols)
         triple = empirical_measures_linear(word, 1000, example.theta, block=6)
-        rep = bound_chain_report(example, triple, block=6)
-        assert rep.slack_packing >= -1e-9
-        assert rep.slack_hausdorff >= -1e-9
-        if rep.entropy_gap <= 0:
-            assert rep.slack_hausdorff_mixed >= -1e-9
-        curve = triple.rho.rate_curve()
+        curve = bound_chain_report(example, triple, block=6).h_rate_curve
         window = triple.window_nu[1]
         tol = 8.0 * math.log(len(example.rows)) * len(curve) / window
         for h1, h2 in zip(curve, curve[1:]):

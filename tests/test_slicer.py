@@ -100,16 +100,14 @@ def test_budget_enforced(full_square):
         slice_cover(full_square, Line(slope=1.0, intercept=0.0), 10, budget=100)
 
 
-def test_conservative_superset_rational_lines(rng):
-    carpets = [
-        new_carpet(3, 2, {(0, 0), (2, 0), (1, 1)}),
-        new_carpet(3, 2, [(x, y) for x in range(3) for y in range(2)]),
-        new_carpet(3, 2, [(0, 0), (0, 1), (2, 0), (2, 1)]),
-    ]
+def test_conservative_superset_rational_lines(rng, example, full_square):
+    # the slice_conservative proptest family covers positive slopes on the
+    # example carpet; this adds negative slopes and the product carpet
+    product = new_carpet(3, 2, [(0, 0), (0, 1), (2, 0), (2, 1)])
     depth = 5
-    for c in carpets:
+    for c, signs in ((example, [-1]), (full_square, [-1]), (product, [1, -1])):
         for _ in range(20):
-            slope = float(c.m) ** float(rng.uniform(0.0, 1.0)) * (1 if rng.random() < 0.8 else -1)
+            slope = float(c.m) ** float(rng.uniform(0.0, 1.0)) * float(rng.choice(signs))
             t = float(rng.uniform(-0.5, 1.2))
             line = Line(slope=slope, intercept=t)
             cover = slice_cover(c, line, depth)
