@@ -70,6 +70,16 @@ def _parse_depths(text: str) -> tuple[int, int]:
     return lo, hi
 
 
+def _parse_drop_head(text: str) -> int:
+    try:
+        value = int(text)
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"drop-head must be an integer, got {text!r}") from exc
+    if value < 0:
+        raise argparse.ArgumentTypeError("drop-head must be >= 0")
+    return value
+
+
 def _add_common(p: argparse.ArgumentParser):
     p.add_argument("--carpet", required=True, help="carpet definition file")
     p.add_argument("--out", default=None, help="directory for report files")
@@ -295,7 +305,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", type=_parse_depths, default=(4, 12), help="A..B inclusive")
     p.add_argument("--inflation", type=float, default=0.0)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--drop-head", dest="drop_head", type=int, default=3)
+    p.add_argument("--drop-head", dest="drop_head", type=_parse_drop_head, default=3)
     p.set_defaults(fn=cmd_slice)
 
     p = sub.add_parser("sweep", help="slice estimates over a grid of lines")
@@ -308,13 +318,18 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--depths", type=_parse_depths, default=(4, 12))
     p.add_argument("--inflation", type=float, default=0.0)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
-    p.add_argument("--drop-head", dest="drop_head", type=int, default=3)
+    p.add_argument("--drop-head", dest="drop_head", type=_parse_drop_head, default=3)
     p.set_defaults(fn=cmd_sweep)
 
     p = sub.add_parser("scenery", help="magnification orbit and entropy bound chains")
     _add_common(p)
     _add_line_args(p)
-    p.add_argument("--depths", type=_parse_depths, default=(4, 10), help="cover depth range")
+    p.add_argument(
+        "--depths",
+        type=_parse_depths,
+        default=(4, 10),
+        help="A..B: the cover is built at depth B; A is accepted but unused",
+    )
     p.add_argument("--inflation", type=float, default=0.0)
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--steps", type=int, default=1000)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 from fractions import Fraction
 from typing import Iterable
 
@@ -60,38 +61,6 @@ class Line:
         return math.log(abs(self.slope)) / math.log(m) % 1.0
 
 
-def _down(v: float) -> float:
-    return math.nextafter(v, -math.inf)
-
-
-def _up(v: float) -> float:
-    return math.nextafter(v, math.inf)
-
-
-def _line_meets_cell(
-    slope: float,
-    intercept: float,
-    inflation: float,
-    x_index: int,
-    x_scale: int,
-    y_index: int,
-    y_scale: int,
-) -> bool:
-    # cell corners: int/int division is correctly rounded, one ulp outward
-    # makes the bracket safe
-    x0 = _down(_down(x_index / x_scale) - inflation)
-    x1 = _up(_up((x_index + 1) / x_scale) + inflation)
-    y0 = _down(_down(y_index / y_scale) - inflation)
-    y1 = _up(_up((y_index + 1) / y_scale) + inflation)
-    lo = math.inf
-    hi = -math.inf
-    for e in (x0, x1):
-        prod = slope * e
-        lo = min(lo, _down(_down(prod) + intercept))
-        hi = max(hi, _up(_up(prod) + intercept))
-    return lo <= y1 and hi >= y0
-
-
 _Node = tuple[tuple[int, ...], tuple[int, ...]]  # (x digits, y digits)
 
 
@@ -128,53 +97,102 @@ def _roots(c: Carpet, p0: int) -> list[_Node]:
     return [((a,), ()) for a in c.columns]
 
 
+def _meets_line(
+    line: Line, inflation: float, x: np.ndarray, x_scale: int, y: np.ndarray, y_scale: int
+) -> np.ndarray:
+    """Outward-rounded test of the cells [x, x+1]/x_scale x [y, y+1]/y_scale.
+
+    The index/scale quotients are correctly rounded (see ``_walk`` for the
+    dtype rule); moving each intermediate value one ulp outward makes the
+    bracket safe, so a cell the line meets is never rejected.
+    """
+
+    def down(v):
+        return np.nextafter(v, -np.inf)
+
+    def up(v):
+        return np.nextafter(v, np.inf)
+
+    def ratio(index, scale):
+        return np.asarray(index / scale, dtype=np.float64)
+
+    x0 = down(down(ratio(x, x_scale)) - inflation)
+    x1 = up(up(ratio(x + 1, x_scale)) + inflation)
+    y0 = down(down(ratio(y, y_scale)) - inflation)
+    y1 = up(up(ratio(y + 1, y_scale)) + inflation)
+    at0, at1 = line.slope * x0, line.slope * x1
+    lo = np.minimum(down(down(at0) + line.intercept), down(down(at1) + line.intercept))
+    hi = np.maximum(up(up(at0) + line.intercept), up(up(at1) + line.intercept))
+    return (lo <= y1) & (hi >= y0)
+
+
+def _digit(index: np.ndarray, base: int, place: int) -> np.ndarray:
+    """Digit of weight ``base**place`` of every index, as array indices."""
+    return (index // base**place % base).astype(np.intp)
+
+
 def _walk(
     c: Carpet,
-    orbit: RotationOrbit,
+    returns: list[int],
     line: Line,
     inflation: float,
     max_depth: int,
     budget: int,
-) -> tuple[list[int], list[_Node]]:
-    """Depth-first pruned traversal; returns kept counts per depth and the
-    kept nodes at ``max_depth``.  Deterministic: children are expanded in
-    lexicographic digit order."""
-    returns = orbit.return_counts(max_depth + 1)
-    visited = 0
+) -> tuple[list[int], np.ndarray, np.ndarray]:
+    """Level-synchronous pruned traversal of the carpet tree.
+
+    A level's frontier holds the digit indices ``x_index`` (base m, length
+    ``returns[depth]``) and ``y_index`` (base n, length ``depth``) of its
+    kept cells in depth-first preorder.  Returns the kept counts per depth
+    and the index arrays of the kept cells at ``max_depth``.  Every tested
+    cell counts against ``budget``, checked before a level is built.
+    """
+    m, n = c.m, c.n
+    # int64 -> float64 division is correctly rounded only while both
+    # operands are below 2**53; past that, object arrays of Python ints run
+    # the same expressions with exact integer arithmetic
+    exact_in_int64 = m ** returns[max_depth] < 2**53 and n**max_depth < 2**53
+    dtype = np.int64 if exact_in_int64 else object
+    pairs = np.zeros((n, m), dtype=bool)  # pairs[b, a]: digit pair (a, b) allowed
+    for a, b in c.digits:
+        pairs[b, a] = True
+    rows, columns = pairs.any(axis=1), pairs.any(axis=0)
+
+    x = np.array(c.columns if returns[0] else [0], dtype=dtype)
+    y = np.zeros(len(x), dtype=dtype)
+    tested = len(x)
+    if tested > budget:
+        raise CellBudgetExceeded(f"visited more than {budget} cells")
     counts = [0] * (max_depth + 1)
-    collected: list[_Node] = []
-    stack: list[tuple[_Node, int]] = []
-
-    def admit(node: _Node) -> bool:
-        nonlocal visited
-        visited += 1
-        if visited > budget:
-            raise CellBudgetExceeded(f"visited more than {budget} cells")
-        xw, yw = node
-        return _line_meets_cell(
-            line.slope,
-            line.intercept,
-            inflation,
-            _digits_to_index(xw, c.m),
-            c.m ** len(xw),
-            _digits_to_index(yw, c.n),
-            c.n ** len(yw),
-        )
-
-    for root in reversed(_roots(c, int(returns[0]))):
-        stack.append((root, 0))
-    while stack:
-        node, depth = stack.pop()
-        if not admit(node):
-            continue
-        counts[depth] += 1
+    for depth in range(max_depth + 1):
+        keep = _meets_line(line, inflation, x, m ** returns[depth], y, n**depth)
+        x, y = x[keep], y[keep]
+        counts[depth] = len(x)
         if depth == max_depth:
-            collected.append(node)
+            break
+        # the coupling cases of _children as a (node, b, a) mask; node-major
+        # nonzero expands the level in depth-first preorder
+        p, carry = returns[depth], returns[depth + 1] > returns[depth]
+        if p > depth:  # the horizontal word is a position ahead: b pairs with xw[depth]
+            b_ok = pairs[:, _digit(x, m, p - 1 - depth)].T
         else:
-            carry = returns[depth + 1] > returns[depth]
-            for child in reversed(list(_children(c, node, depth, bool(carry)))):
-                stack.append((child, depth + 1))
-    return counts, collected
+            b_ok = np.broadcast_to(rows, (len(x), n))
+        if not carry:
+            a_ok = np.ones((1, 1, 1), dtype=bool)
+        elif p < depth:  # the new a pairs with yw[p]
+            a_ok = pairs[_digit(y, n, depth - 1 - p)][:, None, :]
+        elif p == depth:  # the new a pairs with the new b
+            a_ok = pairs[None]
+        else:
+            a_ok = columns[None, None, :]
+        mask = b_ok[:, :, None] & a_ok
+        tested += int(np.count_nonzero(mask))
+        if tested > budget:
+            raise CellBudgetExceeded(f"visited more than {budget} cells")
+        node, b, a = np.nonzero(mask)
+        y = y[node] * n + b
+        x = x[node] * m + a if carry else x[node]
+    return counts, x, y
 
 
 def _digits_to_index(digits: tuple[int, ...], base: int) -> int:
@@ -184,24 +202,36 @@ def _digits_to_index(digits: tuple[int, ...], base: int) -> int:
     return idx
 
 
-def _node_to_square(c: Carpet, node: _Node) -> ApproxSquare:
-    xw, yw = node
-    return ApproxSquare(SymbolWord(c.m, xw), SymbolWord(c.n, yw))
+def _index_to_digits(index: np.ndarray, base: int, length: int) -> list[tuple[int, ...]]:
+    """Length-``length`` base-``base`` words of the indices, most significant first."""
+    places = [_digit(index, base, length - 1 - j).tolist() for j in range(length)]
+    return list(zip(*places)) if places else [()] * len(index)
 
 
-@dataclass
+@dataclass(eq=False)
 class SliceCover:
-    """Kept cells at one depth plus the per-depth counts of the traversal."""
+    """Per-depth counts of the traversal plus the kept cells at one depth."""
 
     depth: int
-    cells: list[ApproxSquare]
     counts: list[int]  # counts[j] = kept cells at depth j, j = 0..depth
     inflation: float
     line: Line
+    carpet: Carpet
+    x_depth: int  # horizontal word length of the kept cells
+    x_index: np.ndarray  # kept cells at ``depth``, in depth-first order
+    y_index: np.ndarray
 
     @property
     def count(self) -> int:
         return self.counts[self.depth]
+
+    @cached_property
+    def cells(self) -> list[ApproxSquare]:
+        """Kept cells at ``depth`` as approximate squares, built on first use."""
+        m, n = self.carpet.m, self.carpet.n
+        xs = _index_to_digits(self.x_index, m, self.x_depth)
+        ys = _index_to_digits(self.y_index, n, self.depth)
+        return [ApproxSquare(SymbolWord(m, xw), SymbolWord(n, yw)) for xw, yw in zip(xs, ys)]
 
 
 def slice_cover(
@@ -214,12 +244,23 @@ def slice_cover(
     """Cells of depth ``depth`` whose (inflated) rectangle the line may meet."""
     if depth > 20:
         raise ValueError("depth capped at 20")
+    if depth < 0:
+        raise ValueError("depth must be >= 0")
     if inflation < 0.0:
         raise ValueError("inflation must be >= 0")
     orbit = RotationOrbit(c.theta, line.exponent(c.m))
-    counts, nodes = _walk(c, orbit, line, inflation, depth, budget)
-    cells = [_node_to_square(c, nd) for nd in nodes]
-    return SliceCover(depth=depth, cells=cells, counts=counts, inflation=inflation, line=line)
+    returns = [int(r) for r in orbit.return_counts(depth + 1)]
+    counts, x_index, y_index = _walk(c, returns, line, inflation, depth, budget)
+    return SliceCover(
+        depth=depth,
+        counts=counts,
+        inflation=inflation,
+        line=line,
+        carpet=c,
+        x_depth=returns[depth],
+        x_index=x_index,
+        y_index=y_index,
+    )
 
 
 def slice_counts(
@@ -277,6 +318,8 @@ def estimate_slice_dimension(
     counts are dominated by the bounded aspect-ratio constant of the cells,
     not by the slice itself.
     """
+    if drop_head < 0:
+        raise ValueError(f"drop_head must be >= 0, got {drop_head}")
     tail = counts[drop_head:]
     usable = [(k, nk) for k, nk in tail if nk > 0]
     if len(usable) < 3:

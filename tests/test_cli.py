@@ -307,6 +307,17 @@ def test_slice_rejects_negative_depth(example_file, capsys):
     assert "depths must be >= 0" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("command", ["slice", "sweep"])
+def test_rejects_negative_drop_head(example_file, capsys, command):
+    line = ["--u0", "0.4"] if command == "slice" else ["--u0s", "0.4"]
+    with pytest.raises(SystemExit) as exc:
+        main([command, "--carpet", example_file, *line, "--t", "0.2", "--drop-head=-9"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "drop-head must be >= 0" in captured.err
+
+
 @pytest.mark.parametrize(
     "flag,value",
     [("--steps", "1000000"), ("--steps", "0"), ("--block", "0"), ("--stride", "0")],

@@ -1,3 +1,4 @@
+import hashlib
 import math
 from fractions import Fraction
 
@@ -100,6 +101,69 @@ def test_budget_enforced(full_square):
         slice_cover(full_square, Line(slope=1.0, intercept=0.0), 10, budget=100)
 
 
+@pytest.mark.parametrize("depth", [-1, 21])
+def test_depth_out_of_range(full_square, depth):
+    with pytest.raises(ValueError, match="depth"):
+        slice_cover(full_square, Line(slope=1.0, intercept=0.0), depth)
+
+
+def test_budget_counts_every_tested_cell(full_square):
+    # 7651 cells are tested (kept or not) down to depth 10: the smallest
+    # budget that passes, found by bisection on the depth-first walk
+    line = Line(slope=1.0, intercept=0.0)
+    assert slice_cover(full_square, line, 10, budget=7651).counts[10] > 0
+    with pytest.raises(CellBudgetExceeded):
+        slice_cover(full_square, line, 10, budget=7650)
+
+
+@pytest.mark.parametrize("carpet", ["example", "full_square"])
+def test_cells_in_depth_first_order(request, carpet):
+    c = request.getfixturevalue(carpet)
+    # falling, so the depth-first order is not the order along either axis
+    line = Line.from_exponent(c.m, 0.37, 1.1, sign=-1)
+    depth = 8
+    cover = slice_cover(c, line, depth)
+    returns = RotationOrbit(c.theta, line.exponent(c.m)).return_counts(depth)
+
+    def dfs_key(sq):
+        xw, yw = sq.x_word.symbols, sq.y_word.symbols
+        return [(yw[:j], xw[: returns[j]]) for j in range(depth + 1)]
+
+    assert len(cover.cells) > 1
+    assert cover.cells == sorted(cover.cells, key=dfs_key)
+
+
+# Counts and a sha256 of repr([(x word, y word), ...]) recorded from the
+# depth-first walk that computed every cell test with Python ints and floats
+@pytest.mark.parametrize(
+    "m,n,digits,intercept,counts,digest",
+    [
+        (  # 10**20 and 9**20 exceed 2**63
+            10,
+            9,
+            [(0, 0), (9, 0), (4, 4), (2, 8), (7, 8), (5, 4)],
+            -0.39724574549027614,
+            [4, 5, 8, 14, 22, 54, 14, 15, 7, 4, 2, 2, 1, 1, 1, 2, 3, 8, 43, 258, 1548],
+            "1ba2f61448f4df97e2ab8164b928faa3814aec2b6d57055d797b03c06483d1f8",
+        ),
+        (  # 7**19 exceeds 2**53
+            7,
+            6,
+            [(0, 0), (6, 0), (3, 2), (1, 5), (5, 5), (2, 2)],
+            -0.48538027731792094,
+            [4, 8, 20, 6, 6, 12, 14, 18, 18, 18, 20, 21, 26, 25, 23, 24, 21, 26, 31, 43, 125],
+            "e90d598c58168e3d4dc63a01a7575d5cd92d16924fd390d71bc9eb12b154d56b",
+        ),
+    ],
+)
+def test_wide_bases_at_depth_20(m, n, digits, intercept, counts, digest):
+    c = new_carpet(m, n, digits)
+    cover = slice_cover(c, Line.from_exponent(m, 0.3, intercept), 20)
+    assert cover.counts == counts
+    words = [(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells]
+    assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
+
+
 def test_conservative_superset_rational_lines(rng, example, full_square):
     # the slice_conservative proptest family covers positive slopes on the
     # example carpet; this adds negative slopes and the product carpet
@@ -131,6 +195,8 @@ def test_estimate_examples(example):
         estimate_slice_dimension(example, [(1, 5), (2, 9)], drop_head=0)
     with pytest.raises(InsufficientData):
         estimate_slice_dimension(example, [(k, 0) for k in range(10)], drop_head=3)
+    with pytest.raises(ValueError, match="drop_head"):
+        estimate_slice_dimension(example, counts, drop_head=-2)
 
 
 def test_estimate_bounds_attached(example):
