@@ -12,8 +12,6 @@ import json
 import sys
 from pathlib import Path
 
-import numpy as np
-
 from . import proptest
 from .carpet import Carpet, dimension_report
 from .errors import (
@@ -236,15 +234,15 @@ def cmd_scenery(args) -> int:
     lo, hi = args.depths
     line = _build_line(c, args.u0, args.slope, args.t, args.sign, args.steps + 1)
     cover = slice_cover(c, line, hi, inflation=args.inflation, budget=args.budget)
-    if not cover.cells:
+    if cover.count == 0:
         text = _report_json({"empty": True, "u0": line.exponent(c.m), "t": line.intercept})
         print(text)
         _emit(args.out, "chain.json", text + "\n")
         _emit(args.out, "orbit.jsonl", "")
         return 0
-    mu0 = DiscreteMeasure.uniform_on(np.array([sq.center() for sq in cover.cells]))
+    mu0 = DiscreteMeasure.uniform_on(cover.centers)
     word_len = args.steps + args.block + 2
-    state = state_from_cell(c, cover.cells[0], mu0, line.exponent(c.m), word_len)
+    state = state_from_cell(c, cover.cell(0), mu0, line.exponent(c.m), word_len)
     summary = run_scenery(
         state, args.steps, c.theta, probe_level=args.probe_level, stride=args.stride
     )

@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import json
 import math
-from collections import Counter
 from dataclasses import dataclass, fields
 from typing import Mapping
 
@@ -79,7 +78,8 @@ def state_from_cell(
     The digit words are extended deterministically with carpet-consistent
     digits (smallest admissible, then the sorted digit list cyclically) so
     the point genuinely lies in the carpet and the orbit can run ``length``
-    steps without running out of symbols.
+    steps without running out of symbols.  ``omega`` is the vertical word
+    itself.
     """
     xw = list(cell.x_word.symbols)
     yw = list(cell.y_word.symbols)
@@ -87,19 +87,21 @@ def state_from_cell(
         xw.append(min(c.row_digits(yw[len(xw)])))
     while len(yw) < len(xw):
         yw.append(min(c.column_rows(xw[len(yw)])))
+    # filler digit i (i >= len(yw)) is the pair pairs[i % len(pairs)]
     pairs = sorted(c.digits)
-    i = len(yw)
-    while i < length:
-        a, b = pairs[i % len(pairs)]
-        xw.append(a)
-        yw.append(b)
-        i += 1
+    count = max(0, length - len(yw))
+    turn = len(yw) % len(pairs)
+    cycle = pairs[turn:] + pairs[:turn]
+    reps = -(-count // len(cycle))
+    x_fill = tuple(a for a, _ in cycle) * reps
+    y_fill = tuple(b for _, b in cycle) * reps
+    y_word = SymbolWord(c.n, tuple(yw) + y_fill[:count])
     state = SceneryState(
         mu=mu,
-        x_word=SymbolWord(c.m, tuple(xw)),
-        y_word=SymbolWord(c.n, tuple(yw)),
+        x_word=SymbolWord(c.m, tuple(xw) + x_fill[:count]),
+        y_word=y_word,
         u=u0,
-        omega=SymbolWord(c.n, tuple(yw)),
+        omega=y_word,
     )
     if _cell_mass(mu, cell) <= 0.0:
         raise ZeroMassCell("starting point's cell carries no mass")
@@ -228,15 +230,37 @@ class BlockTable:
         return [self.entropy(b) / b for b in range(1, self.depth + 1)]
 
 
-def _window_table(symbols: tuple[int, ...], start: int, stop: int, depth: int) -> BlockTable:
-    """Block table of shifts start..stop (inclusive, 0-based first symbol)."""
+def _window_table(word: SymbolWord, start: int, stop: int, depth: int) -> BlockTable:
+    """Block table of shifts start..stop (inclusive, 0-based first symbol).
+
+    Each length-b block is counted through an integer code: the rank of its
+    length-(b-1) prefix among the distinct prefixes, times n, plus its last
+    symbol.  Codes stay below width * n, so they are exact int64 for every
+    block length.  The table's keys are the blocks as tuples of the word's
+    symbols, in order of first occurrence, which fixes the summation order
+    of ``BlockTable.entropy``.
+    """
     width = stop - start + 1
+    if width <= 0:
+        return _empty_table(depth)
+    if stop + depth > len(word):
+        raise WordTooShort(f"need {stop + depth} symbols, have {len(word)}")
+    symbols = word.symbols
+    n = word.alphabet_size
+    arr = np.array(symbols[start : stop + depth], dtype=np.int64)
+    codes = arr[:width]
     tables: dict[int, dict[tuple[int, ...], float]] = {}
     for b in range(1, depth + 1):
-        counts: Counter = Counter()
-        for i in range(start, stop + 1):
-            counts[symbols[i : i + b]] += 1
-        tables[b] = {w: cnt / width for w, cnt in counts.items()} if width > 0 else {}
+        if b > 1:
+            codes = ranks * n + arr[b - 1 : b - 1 + width]
+        _, first, ranks, counts = np.unique(
+            codes, return_index=True, return_inverse=True, return_counts=True
+        )
+        order = np.argsort(first)
+        tables[b] = {
+            symbols[start + i : start + i + b]: cnt / width
+            for i, cnt in zip(first[order].tolist(), counts[order].tolist())
+        }
     return BlockTable(depth=depth, tables=tables)
 
 
@@ -309,9 +333,9 @@ def empirical_measures_linear(
     split = math.floor(n_steps * theta)
     if split < 1 or split >= n_steps:
         raise ValueError(f"N={n_steps} leaves an empty window for theta={theta}")
-    nu = _window_table(omega.symbols, 1, split, block)
-    eta = _window_table(omega.symbols, split + 1, n_steps, block)
-    rho = _window_table(omega.symbols, 1, n_steps, block)
+    nu = _window_table(omega, 1, split, block)
+    eta = _window_table(omega, split + 1, n_steps, block)
+    rho = _window_table(omega, 1, n_steps, block)
     mixed = mix_tables(nu, theta, eta, 1.0 - theta)
     return EmpiricalTriple(
         nu=nu,
@@ -343,9 +367,9 @@ def empirical_measures_exponential(
     lo, hi = exponential_windows(k, theta)
     if len(omega) < hi + block:
         raise WordTooShort(f"need {hi + block} symbols, have {len(omega)}")
-    nu = _window_table(omega.symbols, 1, lo, block)
+    nu = _window_table(omega, 1, lo, block)
     if hi > lo:
-        eta = _window_table(omega.symbols, lo + 1, hi, block)
+        eta = _window_table(omega, lo + 1, hi, block)
         rho = mix_tables(nu, theta, eta, 1.0 - theta)
     else:
         eta = _empty_table(block)

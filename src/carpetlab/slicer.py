@@ -228,10 +228,29 @@ class SliceCover:
     @cached_property
     def cells(self) -> list[ApproxSquare]:
         """Kept cells at ``depth`` as approximate squares, built on first use."""
+        return self._squares(slice(None))
+
+    def cell(self, i: int) -> ApproxSquare:
+        """The i-th kept cell, built alone."""
+        return self._squares(slice(i, i + 1))[0]
+
+    def _squares(self, which: slice) -> list[ApproxSquare]:
         m, n = self.carpet.m, self.carpet.n
-        xs = _index_to_digits(self.x_index, m, self.x_depth)
-        ys = _index_to_digits(self.y_index, n, self.depth)
+        xs = _index_to_digits(self.x_index[which], m, self.x_depth)
+        ys = _index_to_digits(self.y_index[which], n, self.depth)
         return [ApproxSquare(SymbolWord(m, xw), SymbolWord(n, yw)) for xw, yw in zip(xs, ys)]
+
+    @property
+    def centers(self) -> np.ndarray:
+        """(count, 2) float64 centers of the kept cells, without building them.
+
+        The same operations as ``ApproxSquare.center``: int64 indices stay
+        below 2**53, so they convert to float64 exactly; object arrays run
+        the Python-int expressions element by element.
+        """
+        x = (self.x_index + 0.5) / self.carpet.m**self.x_depth
+        y = (self.y_index + 0.5) / self.carpet.n**self.depth
+        return np.column_stack((x, y)).astype(np.float64)
 
 
 def slice_cover(
@@ -346,10 +365,9 @@ def cover_measure(
 ) -> DiscreteMeasure:
     """Uniform probability measure on the centers of the depth-k cover cells."""
     cover = slice_cover(c, line, depth, inflation=inflation)
-    if not cover.cells:
+    if cover.count == 0:
         raise EmptySlice("cover is empty at the requested depth")
-    centers = np.array([sq.center() for sq in cover.cells])
-    return DiscreteMeasure.uniform_on(centers)
+    return DiscreteMeasure.uniform_on(cover.centers)
 
 
 def exact_cover_cells(

@@ -20,37 +20,86 @@ from .errors import EmptyWord, SymbolOutOfRange, UnoccupiedRowSymbol, WordTooSho
 MAX_WORD_LEN = 10**6
 
 
-@dataclass(frozen=True)
 class SymbolWord:
-    """Finite word over the alphabet {0, ..., alphabet_size - 1}."""
+    """Finite word over the alphabet {0, ..., alphabet_size - 1}.
 
-    alphabet_size: int
-    symbols: tuple[int, ...]
+    The symbols are validated once, at construction.  ``shift``,
+    ``carry_shift`` and ``prefix`` return views: the parent's validated
+    tuple, shared, with new bounds, so they neither copy nor re-validate.
+    Length, indexing, ``symbols``, equality and hashing are those of the
+    viewed slice.  Words are immutable.
+    """
 
-    def __post_init__(self):
-        if len(self.symbols) > MAX_WORD_LEN:
+    __slots__ = ("alphabet_size", "_data", "_start", "_stop")
+
+    def __init__(self, alphabet_size: int, symbols: tuple[int, ...]):
+        symbols = tuple(symbols)
+        if len(symbols) > MAX_WORD_LEN:
             raise SymbolOutOfRange(f"word longer than {MAX_WORD_LEN}")
-        for s in self.symbols:
-            if not (0 <= s < self.alphabet_size):
-                raise SymbolOutOfRange(f"symbol {s} outside alphabet of size {self.alphabet_size}")
+        if symbols and (min(symbols) < 0 or max(symbols) >= alphabet_size):
+            s = next(s for s in symbols if not (0 <= s < alphabet_size))
+            raise SymbolOutOfRange(f"symbol {s} outside alphabet of size {alphabet_size}")
+        self._set(alphabet_size, symbols, 0, len(symbols))
+
+    def _set(self, alphabet_size: int, data: tuple[int, ...], start: int, stop: int):
+        setattr_ = object.__setattr__
+        setattr_(self, "alphabet_size", alphabet_size)
+        setattr_(self, "_data", data)
+        setattr_(self, "_start", start)
+        setattr_(self, "_stop", stop)
+
+    def _view(self, start: int, stop: int) -> "SymbolWord":
+        """Word of ``_data[start:stop]``, with no copy and no validation."""
+        w = object.__new__(SymbolWord)
+        w._set(self.alphabet_size, self._data, start, stop)
+        return w
+
+    def __setattr__(self, name, value):
+        raise AttributeError("SymbolWord is immutable")
+
+    def __reduce__(self):
+        return SymbolWord, (self.alphabet_size, self.symbols)
+
+    @property
+    def symbols(self) -> tuple[int, ...]:
+        return self._data[self._start : self._stop]
 
     def __len__(self) -> int:
-        return len(self.symbols)
+        return self._stop - self._start
 
     def __getitem__(self, i):
-        return self.symbols[i]
+        if isinstance(i, slice):
+            return self.symbols[i]
+        return self._data[range(self._start, self._stop)[i]]
+
+    def __eq__(self, other):
+        if other.__class__ is not SymbolWord:
+            return NotImplemented
+        return (
+            self.alphabet_size == other.alphabet_size
+            and len(self) == len(other)
+            and self.symbols == other.symbols
+        )
+
+    def __hash__(self) -> int:
+        return hash((self.alphabet_size, self.symbols))
+
+    def __repr__(self) -> str:
+        return f"SymbolWord(alphabet_size={self.alphabet_size!r}, symbols={self.symbols!r})"
 
     def prefix(self, k: int) -> "SymbolWord":
-        if k > len(self.symbols):
-            raise WordTooShort(f"need {k} symbols, have {len(self.symbols)}")
-        return SymbolWord(self.alphabet_size, self.symbols[:k])
+        if k < 0:
+            raise ValueError(f"prefix length must be >= 0, got {k}")
+        if k > len(self):
+            raise WordTooShort(f"need {k} symbols, have {len(self)}")
+        return self._view(self._start, self._start + k)
 
 
 def shift(w: SymbolWord) -> SymbolWord:
     """Drop the first symbol."""
     if len(w) == 0:
         raise EmptyWord("cannot shift the empty word")
-    return SymbolWord(w.alphabet_size, w.symbols[1:])
+    return w._view(w._start + 1, w._stop)
 
 
 def carry_shift(w: SymbolWord, phase: float, theta: float) -> SymbolWord:

@@ -1,4 +1,6 @@
+import hashlib
 import json
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,6 +13,7 @@ from carpetlab import new_carpet, proptest
 
 EXAMPLE = "# test carpet\n3 2\n0 0\n2 0\n1 1\n"
 FULL = "3 2\n" + "".join(f"{x} {y}\n" for x in range(3) for y in range(2))
+CARPETS = Path(__file__).resolve().parents[1] / "carpets"
 
 
 @pytest.fixture
@@ -295,6 +298,42 @@ def test_scenery_empty_slice(example_file, capsys):
     assert code == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["empty"] is True
+
+
+# sha256 of stdout (the same bytes as chain.json) and of orbit.jsonl.  The
+# digests were recorded from the scenery implementation that counted blocks
+# with a Counter over tuple slices and copied the word on every shift, before
+# the numpy block tables and shared-tuple words replaced it; every faster
+# scenery path must reproduce these bytes.
+@pytest.mark.parametrize(
+    "argv,exhausted_at,chain_sha,orbit_sha",
+    [
+        (  # the README example
+            ["--carpet", "full_3x2.txt", "--slope", "1.0", "--steps", "1000", "--depths", "4..10"],
+            11,
+            "dfe86689d8da9f5682f1e94e3af6b218d46e576f1720465cba2dbe4b8954ea01",
+            "216a98d62f8dc28893925e935baaa54e5977ede7f2e8e29d303dff8395b24585",
+        ),
+        (
+            ["--carpet", "example.txt", "--u0", "0.37", "--t", "0.21", "--steps", "20000"],
+            14,
+            "c528d1aaf45e16e52b2841194f6ea1bb8cae0df40d9826ef303ee8778b745f62",
+            "87d8868f18d5e7a8b28d4a5fc777fda221cc12d61d39843c6c90b8cb71077407",
+        ),
+    ],
+)
+def test_scenery_bytes_pinned(tmp_path, capsys, argv, exhausted_at, chain_sha, orbit_sha):
+    def sha(data: bytes) -> str:
+        return hashlib.sha256(data).hexdigest()
+
+    argv = [str(CARPETS / a) if a.endswith(".txt") else a for a in argv]
+    out = tmp_path / "out"
+    assert main(["scenery", *argv, "--out", str(out)]) == 6
+    captured = capsys.readouterr()
+    assert captured.err == f"measure support exhausted at step {exhausted_at}\n"
+    assert sha(captured.out.encode()) == chain_sha
+    assert sha((out / "chain.json").read_bytes()) == chain_sha
+    assert sha((out / "orbit.jsonl").read_bytes()) == orbit_sha
 
 
 # -- parameter validation --

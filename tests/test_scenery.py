@@ -1,4 +1,5 @@
 import math
+from collections import Counter
 
 import numpy as np
 import pytest
@@ -24,7 +25,12 @@ from carpetlab import (
     state_from_cell,
 )
 from carpetlab.errors import BlockTooDeep, WordTooShort, ZeroMassCell
-from carpetlab.scenery import BlockTable, EmpiricalTriple, exponential_windows
+from carpetlab.scenery import (
+    BlockTable,
+    EmpiricalTriple,
+    _window_table,
+    exponential_windows,
+)
 
 
 def full_grid_measure(c, depth):
@@ -194,6 +200,71 @@ def test_block_tables_prefix_consistent(rng, example):
                 marginal[w[:-1]] = marginal.get(w[:-1], 0.0) + p
             for w, p in table.tables[b - 1].items():
                 assert abs(marginal.get(w, 0.0) - p) < 1e-12
+
+
+def counter_table(symbols, start, stop, depth):
+    """Reference block table: a Counter over every window, keys in first-seen order."""
+    width = stop - start + 1
+    tables = {}
+    for b in range(1, depth + 1):
+        counts = Counter(symbols[i : i + b] for i in range(start, stop + 1))
+        tables[b] = {w: cnt / width for w, cnt in counts.items()}
+    return BlockTable(depth=depth, tables=tables)
+
+
+def assert_same_table(got, ref):
+    assert got.depth == ref.depth
+    for b in range(1, ref.depth + 1):
+        assert list(got.tables[b].items()) == list(ref.tables[b].items())
+        assert all(type(s) is int for key in got.tables[b] for s in key)
+        assert got.entropy(b) == ref.entropy(b)  # bit-equal: same summation order
+    assert got.rate_curve() == ref.rate_curve()
+
+
+def noisy_periodic(rng, n, length, period, flips):
+    """A word that repeats its blocks, so long blocks still have counts above 1."""
+    base = rng.integers(0, n, size=period)
+    word = np.resize(base, length)
+    at = rng.integers(0, length, size=flips)
+    word[at] = rng.integers(0, n, size=flips)
+    return tuple(int(s) for s in word)
+
+
+@pytest.mark.parametrize("n", [2, 3, 5, 11])
+def test_window_table_matches_counter(rng, n):
+    for trial in range(12):
+        depth = int(rng.integers(1, 9))
+        length = int(rng.integers(1, 500))
+        if trial % 2:
+            symbols = noisy_periodic(rng, n, length + depth, int(rng.integers(1, 9)), 5)
+        else:
+            symbols = tuple(int(s) for s in rng.integers(0, n, size=length + depth))
+        start = int(rng.integers(0, length))
+        stop = int(rng.integers(start, length))
+        got = _window_table(SymbolWord(n, symbols), start, stop, depth)
+        assert_same_table(got, counter_table(symbols, start, stop, depth))
+
+
+@pytest.mark.parametrize("n,depth", [(2, 70), (3, 45), (1000, 30)])
+def test_window_table_exact_past_int64_codes(rng, n, depth):
+    # a plain base-n code of a length-b block would fit int64 only while
+    # n**b < 2**63; the deeper blocks here lie past that cut
+    cut = max(b for b in range(1, depth) if n**b < 2**63)
+    assert cut + 1 < depth
+    symbols = noisy_periodic(rng, n, 400 + depth, 23, 12)
+    word = SymbolWord(n, symbols)
+    for start, stop in ((0, 399), (17, 250)):
+        got = _window_table(word, start, stop, depth)
+        assert_same_table(got, counter_table(symbols, start, stop, depth))
+        assert 1 < len(got.tables[cut + 1]) < stop - start + 1
+
+
+def test_window_table_edges():
+    word = SymbolWord(2, (0, 1, 1, 0, 1))
+    assert _window_table(word, 3, 2, 2).tables == {1: {}, 2: {}}
+    assert_same_table(_window_table(word, 0, 3, 1), counter_table(word.symbols, 0, 3, 1))
+    with pytest.raises(WordTooShort):
+        _window_table(word, 1, 3, 3)
 
 
 def test_exponential_windows_basic(example):

@@ -164,6 +164,26 @@ def test_wide_bases_at_depth_20(m, n, digits, intercept, counts, digest):
     assert hashlib.sha256(repr(words).encode()).hexdigest() == digest
 
 
+@pytest.mark.parametrize(
+    "m,n,digits,intercept,depth",
+    [
+        (3, 2, [(0, 0), (2, 0), (1, 1)], 0.1, 12),  # int64 index arrays
+        # object arrays, carpets and lines of test_wide_bases_at_depth_20
+        (10, 9, [(0, 0), (9, 0), (4, 4), (2, 8), (7, 8), (5, 4)], -0.39724574549027614, 20),
+        (7, 6, [(0, 0), (6, 0), (3, 2), (1, 5), (5, 5), (2, 2)], -0.48538027731792094, 20),
+    ],
+)
+def test_centers_and_cell_match_cells(m, n, digits, intercept, depth):
+    c = new_carpet(m, n, digits)
+    cover = slice_cover(c, Line.from_exponent(m, 0.3, intercept), depth)
+    assert cover.count > 0
+    expected = np.array([sq.center() for sq in cover.cells])
+    assert cover.centers.dtype == np.float64
+    assert np.array_equal(cover.centers, expected)
+    for i in (0, cover.count - 1):
+        assert cover.cell(i) == cover.cells[i]
+
+
 def test_conservative_superset_rational_lines(rng, example, full_square):
     # the slice_conservative proptest family covers positive slopes on the
     # example carpet; this adds negative slopes and the product carpet

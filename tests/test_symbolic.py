@@ -102,12 +102,47 @@ def test_word_validation_and_serialization():
     assert SymbolWord(3, (0, 1, 2)).symbols == (0, 1, 2)
     with pytest.raises(SymbolOutOfRange):
         SymbolWord(2, (0, 2))
+    with pytest.raises(SymbolOutOfRange, match=r"^symbol 2 outside alphabet of size 2$"):
+        SymbolWord(2, (0, 1, 2, 5, -1))
+    with pytest.raises(SymbolOutOfRange, match=r"^symbol -1 outside alphabet of size 3$"):
+        SymbolWord(3, (1, -1, 3))
+    with pytest.raises(SymbolOutOfRange, match=r"^word longer than 1000000$"):
+        SymbolWord(2, (0,) * (10**6 + 1))
 
 
 def test_shift_examples():
     assert shift(SymbolWord(2, (0, 1, 1, 0))).symbols == (1, 1, 0)
     with pytest.raises(EmptyWord):
         shift(SymbolWord(2, ()))
+
+
+def test_shifted_word_equals_sliced_word(rng):
+    symbols = tuple(int(s) for s in rng.integers(0, 3, size=30))
+    w = SymbolWord(3, symbols)
+    for k in range(len(symbols) + 1):
+        ref = SymbolWord(3, symbols[k:])
+        assert w == ref and hash(w) == hash(ref)
+        assert len(w) == len(ref) and w.symbols == ref.symbols == symbols[k:]
+        assert [w[i] for i in range(len(w))] == [w[i - len(w)] for i in range(len(w))]
+        assert list(w) == list(symbols[k:])
+        with pytest.raises(IndexError):
+            w[len(w)]
+        for j in (0, len(w) // 2, len(w)):
+            assert w.prefix(j) == ref.prefix(j) == SymbolWord(3, symbols[k : k + j])
+            assert hash(w.prefix(j)) == hash(SymbolWord(3, symbols[k : k + j]))
+            assert len(w.prefix(j)) == j
+        with pytest.raises(WordTooShort):
+            w.prefix(len(w) + 1)
+        assert w != SymbolWord(4, symbols[k:])
+        if k < len(symbols):
+            nxt = shift(w)
+            assert nxt._data is w._data  # a view: the validated tuple is shared
+            assert carry_shift(w, 0.9, 0.63) == nxt
+            w = nxt
+    with pytest.raises(EmptyWord):
+        shift(w)
+    with pytest.raises(EmptyWord):
+        carry_shift(w, 0.0, 0.63)
 
 
 def test_carry_shift_examples():
