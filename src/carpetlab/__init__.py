@@ -23,11 +23,9 @@ from .measures import (
     EntropyReport,
     GridPartition,
     condition_rescale,
-    covering_number,
     entropy,
     finite_scale_dimension,
     gibbs_gap,
-    restricted_entropy,
 )
 from .scenery import (
     BlockTable,
@@ -36,11 +34,9 @@ from .scenery import (
     SceneryState,
     ScenerySummary,
     bound_chain_report,
-    empirical_measures_exponential,
     empirical_measures_linear,
     magnify_step,
     run_scenery,
-    select_entropy_subsequence,
     star_discrepancy,
     state_from_cell,
 )
@@ -63,7 +59,6 @@ from .symbolic import (
     carry_shift,
     coding_interval,
     cylinder_cover_count,
-    fiber_constraints,
     shift,
 )
 

@@ -26,7 +26,7 @@ from .errors import (
     InsufficientData,
 )
 from .io import atomic_write, load_carpet
-from .measures import DiscreteMeasure, finite_scale_dimension
+from .measures import DiscreteMeasure, GridPartition, finite_scale_dimension
 from .scenery import (
     MAX_STEPS,
     bound_chain_report,
@@ -66,6 +66,16 @@ def _parse_depths(text: str) -> tuple[int, int]:
     if lo < 0:
         raise argparse.ArgumentTypeError("depths must be >= 0")
     return lo, hi
+
+
+def _parse_grid(text: str) -> tuple[int, int]:
+    try:
+        nu, nt = (int(v) for v in text.lower().split("x"))
+    except ValueError as exc:
+        raise argparse.ArgumentTypeError(f"grid must look like 10x10, got {text!r}") from exc
+    if nu < 1 or nt < 1:
+        raise argparse.ArgumentTypeError("grid sides must be >= 1")
+    return nu, nt
 
 
 def _parse_drop_head(text: str) -> int:
@@ -176,10 +186,7 @@ def _sweep_lines(args) -> list[tuple[str, float, float]]:
     """Line specs as (kind, value, t) with kind 'u0' or 'slope'."""
     ts = [float(v) for v in args.ts.split(",")] if args.ts else [0.0]
     if args.grid:
-        try:
-            nu, nt = (int(v) for v in args.grid.lower().split("x"))
-        except ValueError as exc:
-            raise argparse.ArgumentTypeError(f"grid must look like 10x10, got {args.grid!r}") from exc
+        nu, nt = args.grid
         u0s = [(i + 0.5) / nu for i in range(nu)]
         ts = [(j + 0.5) / nt for j in range(nt)]
         return [("u0", u0, t) for u0 in u0s for t in ts]
@@ -231,6 +238,7 @@ def cmd_scenery(args) -> int:
     if args.stride < 1:
         raise ValueError(f"stride must be >= 1, got {args.stride}")
     c = load_carpet(args.carpet)
+    GridPartition.square(c.n, args.probe_level)  # rejects a negative or int64-overflowing level
     lo, hi = args.depths
     line = _build_line(c, args.u0, args.slope, args.t, args.sign, args.steps + 1)
     cover = slice_cover(c, line, hi, inflation=args.inflation, budget=args.budget)
@@ -308,7 +316,9 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="slice estimates over a grid of lines")
     _add_common(p)
-    p.add_argument("--grid", default=None, help="UxT grid of (u0, t) values, e.g. 10x10")
+    p.add_argument(
+        "--grid", type=_parse_grid, default=None, help="UxT grid of (u0, t) values, e.g. 10x10"
+    )
     p.add_argument("--u0s", default=None, help="comma-separated slope exponents")
     p.add_argument("--slopes", default=None, help="comma-separated literal slopes")
     p.add_argument("--ts", default=None, help="comma-separated intercepts")

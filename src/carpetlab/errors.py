@@ -63,10 +63,6 @@ class ZeroMassCell(CarpetLabError):
     pass
 
 
-class ZeroMassRegion(CarpetLabError):
-    pass
-
-
 class InsufficientLevels(CarpetLabError):
     pass
 

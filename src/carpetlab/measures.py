@@ -8,13 +8,7 @@ from typing import Iterable, Sequence
 
 import numpy as np
 
-from .errors import (
-    InsufficientLevels,
-    SupportMismatch,
-    UnnormalizedMeasure,
-    ZeroMassCell,
-    ZeroMassRegion,
-)
+from .errors import InsufficientLevels, SupportMismatch, UnnormalizedMeasure, ZeroMassCell
 from .symbolic import ApproxSquare
 
 MASS_TOL = 1e-12
@@ -58,12 +52,6 @@ class DiscreteMeasure:
         if not self.is_normalized:
             raise UnnormalizedMeasure(f"total mass {self.total_mass} != 1")
 
-    def normalized(self) -> "DiscreteMeasure":
-        total = self.total_mass
-        if total <= 0.0:
-            raise ZeroMassCell("cannot normalize a zero-mass measure")
-        return DiscreteMeasure(self.points, self.weights / total, validate=False)
-
     @classmethod
     def point_mass(cls, x: float, y: float) -> "DiscreteMeasure":
         return cls(np.array([[x, y]]), np.array([1.0]))
@@ -81,13 +69,21 @@ class GridPartition:
 
     Cells are half-open, left-closed: the cell index of a coordinate is
     floor(coordinate * base**level).  A level of 0 on one axis means that
-    axis is not partitioned at all.
+    axis is not partitioned at all.  Cell indices are int64, so a negative
+    level or a scale base**level of 2**63 or more is rejected.
     """
 
     x_base: int
     x_level: int
     y_base: int
     y_level: int
+
+    def __post_init__(self):
+        for base, level in ((self.x_base, self.x_level), (self.y_base, self.y_level)):
+            if level < 0:
+                raise ValueError(f"grid level must be >= 0, got {level}")
+            if base**level >= 2**63:
+                raise ValueError(f"grid scale {base}**{level} overflows int64 cell indices")
 
     @classmethod
     def square(cls, base: int, level: int) -> "GridPartition":
@@ -182,49 +178,6 @@ def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     out = scaled.astype(np.float64)
     np.clip(out, 0.0, np.nextafter(1.0, 0.0), out=out)
     return DiscreteMeasure(out, wts / total, validate=False)
-
-
-Rect = tuple[float, float, float, float]  # (x0, x1, y0, y1), half-open
-
-
-def restricted_entropy(
-    mu: DiscreteMeasure, keep: Iterable[Rect], part: GridPartition
-) -> tuple[EntropyReport, float]:
-    """Entropy of ``mu`` conditioned on a finite union of rectangles.
-
-    Returns the entropy report of the renormalized restriction together
-    with the mass that the region retained.
-    """
-    mu.require_normalized()
-    keep = list(keep)
-    mask = np.zeros(len(mu), dtype=bool)
-    x = mu.points[:, 0]
-    y = mu.points[:, 1]
-    for x0, x1, y0, y1 in keep:
-        mask |= (x >= x0) & (x < x1) & (y >= y0) & (y < y1)
-    retained = float(mu.weights[mask].sum())
-    if retained <= 0.0:
-        raise ZeroMassRegion("region carries no mass")
-    restricted = DiscreteMeasure(
-        mu.points[mask], mu.weights[mask] / retained, validate=False
-    )
-    return entropy(restricted, part), retained
-
-
-def covering_number(points, r: float) -> int:
-    """Number of r-grid cells (anchored at the origin) meeting the point set.
-
-    A proxy for the minimal number of diameter-r sets needed to cover the
-    set; in the plane the two counts agree within a factor of 4, which
-    cancels in any log-log slope.
-    """
-    if r <= 0.0:
-        raise ValueError("r must be positive")
-    pts = np.asarray(points, dtype=np.float64).reshape(-1, 2)
-    if len(pts) == 0:
-        return 0
-    cells = np.floor(pts / r).astype(np.int64)
-    return len(np.unique(cells, axis=0))
 
 
 def finite_scale_dimension(mu: DiscreteMeasure, base: int, levels: Iterable[int]) -> float:

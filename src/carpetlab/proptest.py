@@ -438,26 +438,6 @@ def check_phase_equidistribution() -> CheckResult:
     )
 
 
-def check_subsequence_selection(rng: np.random.Generator, words: int = 100) -> CheckResult:
-    c = example_carpet()
-    theta = c.theta
-    k_max = 14
-    need = math.floor(theta ** (-k_max)) + 2
-    failures = 0
-    for _ in range(words):
-        symbols = tuple(int(s) for s in rng.choice(c.rows, size=need))
-        word = sy.SymbolWord(c.n, symbols)
-        if not sc.select_entropy_subsequence(word, k_max, theta, eps=1e-3):
-            failures += 1
-    return CheckResult(
-        "subsequence_selection",
-        failures == 0,
-        words,
-        hard=False,
-        detail=f"{failures} empty selections",
-    )
-
-
 def check_bound_chain(rng: np.random.Generator, tables: int = 200) -> CheckResult:
     c = example_carpet()
     need = 600
@@ -491,7 +471,6 @@ ALL_CHECKS = [
     ("magnify_identity", check_magnify_identity),
     ("tv_residual_trend", check_tv_residual_trend),
     ("phase_equidistribution", lambda rng: check_phase_equidistribution()),
-    ("subsequence_selection", check_subsequence_selection),
     ("bound_chain", check_bound_chain),
 ]
 

@@ -110,14 +110,11 @@ def state_from_cell(
 
 @dataclass
 class ScenerySummary:
-    """Decimated probe records plus the full phase and symbol tracks."""
+    """Decimated probe records plus the full phase track."""
 
     records: list[dict]
     phases: np.ndarray
-    symbols: tuple[int, ...]
     exhausted_at: int | None
-    probe_level: int
-    stride: int
 
     def to_jsonl(self) -> str:
         lines = []
@@ -145,7 +142,6 @@ def run_scenery(
     part = GridPartition.square(initial.n, probe_level)
     records: list[dict] = []
     phases = [initial.u]
-    symbols: list[int] = []
     exhausted_at: int | None = None
 
     def record(step: int, state: SceneryState, cell_mass: float):
@@ -165,7 +161,6 @@ def run_scenery(
     for j in range(1, steps + 1):
         carry = state.u >= 1.0 - theta
         mass = _cell_mass(state.mu, _point_cell(state, carry))
-        consumed = state.y_word[0]
         try:
             state = magnify_step(state, theta)
         except ZeroMassCell:
@@ -175,17 +170,9 @@ def run_scenery(
                 record(j - 1, state, mass)
             break
         phases.append(state.u)
-        symbols.append(consumed)
         if j % stride == 0 or j == steps:
             record(j, state, mass)
-    return ScenerySummary(
-        records=records,
-        phases=np.array(phases),
-        symbols=tuple(symbols),
-        exhausted_at=exhausted_at,
-        probe_level=probe_level,
-        stride=stride,
-    )
+    return ScenerySummary(records=records, phases=np.array(phases), exhausted_at=exhausted_at)
 
 
 def star_discrepancy(values: np.ndarray) -> float:
@@ -241,8 +228,6 @@ def _window_table(word: SymbolWord, start: int, stop: int, depth: int) -> BlockT
     of ``BlockTable.entropy``.
     """
     width = stop - start + 1
-    if width <= 0:
-        return _empty_table(depth)
     if stop + depth > len(word):
         raise WordTooShort(f"need {stop + depth} symbols, have {len(word)}")
     symbols = word.symbols
@@ -262,10 +247,6 @@ def _window_table(word: SymbolWord, start: int, stop: int, depth: int) -> BlockT
             for i, cnt in zip(first[order].tolist(), counts[order].tolist())
         }
     return BlockTable(depth=depth, tables=tables)
-
-
-def _empty_table(depth: int) -> BlockTable:
-    return BlockTable(depth=depth, tables={b: {} for b in range(1, depth + 1)})
 
 
 def mix_tables(t1: BlockTable, w1: float, t2: BlockTable, w2: float) -> BlockTable:
@@ -290,19 +271,18 @@ class EmpiricalTriple:
     eta: BlockTable
     rho: BlockTable
     theta: float
-    kind: str  # "linear" | "exponential"
-    index: int  # N for linear windows, k for exponential ones
+    index: int  # N, the number of shifts
     window_nu: tuple[int, int]
     window_eta: tuple[int, int]
-    residual_tv: float | None
+    residual_tv: float
 
     def to_dict(self) -> dict:
         def vec(t: BlockTable) -> dict:
             return {",".join(map(str, k)): v for k, v in sorted(t.tables[1].items())}
 
-        out = {
+        return {
             "schema": "carpet-lab/1",
-            "kind": self.kind,
+            "kind": "linear",
             "index": self.index,
             "theta": self.theta,
             "window_nu": list(self.window_nu),
@@ -312,11 +292,6 @@ class EmpiricalTriple:
             "rho": vec(self.rho),
             "residual_tv": self.residual_tv,
         }
-        if self.kind == "exponential":
-            # make the window convention explicit: stage k averages shifts
-            # 1..floor(theta^-(k-1)), the late window continues to floor(theta^-k)
-            out["window_rule"] = "early 1..floor(theta^-(k-1)); late ..floor(theta^-k)"
-        return out
 
 
 def empirical_measures_linear(
@@ -342,85 +317,11 @@ def empirical_measures_linear(
         eta=eta,
         rho=rho,
         theta=theta,
-        kind="linear",
         index=n_steps,
         window_nu=(1, split),
         window_eta=(split + 1, n_steps),
         residual_tv=tv_distance(rho, mixed, block),
     )
-
-
-def exponential_windows(k: int, theta: float) -> tuple[int, int]:
-    """(floor(theta^-(k-1)), floor(theta^-k)): window edges at stage k."""
-    return math.floor(theta ** (-(k - 1))), math.floor(theta ** (-k))
-
-
-def empirical_measures_exponential(
-    omega: SymbolWord, k: int, theta: float, block: int = 6
-) -> EmpiricalTriple:
-    """Stage-k exponential windows: early shifts 1..floor(theta^-(k-1)),
-    late shifts up to floor(theta^-k).
-
-    The late window may be empty at small k; its table is then empty and the
-    combined table falls back to the early one.
-    """
-    lo, hi = exponential_windows(k, theta)
-    if len(omega) < hi + block:
-        raise WordTooShort(f"need {hi + block} symbols, have {len(omega)}")
-    nu = _window_table(omega, 1, lo, block)
-    if hi > lo:
-        eta = _window_table(omega, lo + 1, hi, block)
-        rho = mix_tables(nu, theta, eta, 1.0 - theta)
-    else:
-        eta = _empty_table(block)
-        rho = nu
-    return EmpiricalTriple(
-        nu=nu,
-        eta=eta,
-        rho=rho,
-        theta=theta,
-        kind="exponential",
-        index=k,
-        window_nu=(1, lo),
-        window_eta=(lo + 1, hi),
-        residual_tv=None,
-    )
-
-
-def select_entropy_subsequence(
-    omega: SymbolWord, k_max: int, theta: float, eps: float
-) -> list[int]:
-    """Stages k <= k_max where the late window's one-symbol entropy does not
-    exceed the early window's by more than eps.
-
-    An empty result is legitimate for adversarial prefixes and short k_max;
-    callers report it rather than fail.  The convex-combination identity
-    linking consecutive stages is re-checked numerically at every k.
-    """
-    _, hi_max = exponential_windows(k_max, theta)
-    if len(omega) < hi_max + 1:
-        raise WordTooShort(f"need {hi_max + 1} symbols, have {len(omega)}")
-    selected = []
-    prev: tuple[float, float, int, int] | None = None  # (H_nu, H_eta, lo, hi)
-    for k in range(1, k_max + 1):
-        triple = empirical_measures_exponential(omega, k, theta, block=1)
-        h_nu = triple.nu.entropy(1)
-        h_eta = triple.eta.entropy(1)
-        lo, hi = triple.window_nu[1], triple.window_eta[1]
-        if prev is not None:
-            # this stage's early window is the convex mix of the previous
-            # stage's two windows, so its entropy cannot undercut the mix
-            h_nu_prev, h_eta_prev, lo_prev, hi_prev = prev
-            if hi_prev > 0:
-                w = lo_prev / hi_prev
-                bound = w * h_nu_prev + (1.0 - w) * h_eta_prev
-                assert h_nu - bound >= -SLACK_TOL, (
-                    f"window concavity violated at k={k}: {h_nu} < {bound}"
-                )
-        if h_eta - h_nu <= eps:
-            selected.append(k)
-        prev = (h_nu, h_eta, lo, hi)
-    return selected
 
 
 # ---------------------------------------------------------------------------

@@ -246,9 +246,6 @@ class ApproxSquare:
         xi, yi = self.x_index, self.y_index
         return (xi / xs, (xi + 1) / xs, yi / ys, (yi + 1) / ys)
 
-    def intervals(self) -> tuple[tuple[Fraction, Fraction], tuple[Fraction, Fraction]]:
-        return coding_interval(self.x_word), coding_interval(self.y_word)
-
     def center(self) -> tuple[float, float]:
         return ((self.x_index + 0.5) / self.x_scale, (self.y_index + 0.5) / self.y_scale)
 
@@ -289,32 +286,3 @@ def cylinder_cover_count(c: Carpet, omega_prefix: SymbolWord, q: int) -> tuple[i
             raise UnoccupiedRowSymbol(f"row {j} has no digits in this carpet")
         lower *= a
     return lower, 5 * lower
-
-
-def fiber_constraints(
-    c: Carpet,
-    y_word: SymbolWord,
-    k: int,
-    orbit: RotationOrbit,
-    trim: int | None = None,
-) -> list[frozenset[int]]:
-    """Digit constraints on the rescaled horizontal fiber of a depth-k cell.
-
-    After magnifying the depth-k approximate square of a carpet point, the
-    horizontal digit at position i is restricted to the digit set of row
-    ``y[i + p]`` where p is the return count, for i up to about
-    (1 - theta) * k / theta.  The tail of that range is only valid up to a
-    bounded correction, so the last ``trim`` constraints are dropped
-    (default: ceil(RETURN_CONSTANT / theta), RETURN_CONSTANT being the
-    proven bound on R(k) - floor(theta * k)).
-    """
-    theta = orbit.theta
-    p = orbit.return_count(k)
-    full = math.floor((1.0 - theta) * k / theta)
-    needed = p + math.ceil((1.0 - theta) * k / theta)
-    if len(y_word) < needed:
-        raise WordTooShort(f"need y length >= {needed}, have {len(y_word)}")
-    if trim is None:
-        trim = math.ceil(RETURN_CONSTANT / theta)
-    count = max(0, full - trim)
-    return [c.row_digits(y_word[p + i]) for i in range(count)]

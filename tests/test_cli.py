@@ -8,7 +8,7 @@ import pytest
 from carpetlab.cli import main
 from carpetlab.io import atomic_write, dump_carpet, parse_carpet
 from carpetlab.errors import CarpetFileError
-from carpetlab import new_carpet, proptest
+from carpetlab import cli, new_carpet, proptest
 
 
 EXAMPLE = "# test carpet\n3 2\n0 0\n2 0\n1 1\n"
@@ -355,6 +355,29 @@ def test_rejects_negative_drop_head(example_file, capsys, command):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "drop-head must be >= 0" in captured.err
+
+
+@pytest.mark.parametrize("grid", ["foo", "0x3", "-2x2", "3x0"])
+def test_sweep_rejects_bad_grid(example_file, capsys, grid):
+    with pytest.raises(SystemExit) as exc:
+        main(["sweep", "--carpet", example_file, f"--grid={grid}"])
+    assert exc.value.code == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "grid" in captured.err
+
+
+@pytest.mark.parametrize("level", ["-1", "63"])  # full_3x2 has n = 2
+def test_scenery_rejects_bad_probe_level(full_file, capsys, monkeypatch, level):
+    def no_walk(*args, **kwargs):
+        raise AssertionError("slice walk started")
+
+    monkeypatch.setattr(cli, "slice_cover", no_walk)
+    code = main(["scenery", "--carpet", full_file, "--slope", "1.0", f"--probe-level={level}"])
+    assert code == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("parameter error: grid ")
 
 
 @pytest.mark.parametrize(

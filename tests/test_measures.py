@@ -8,18 +8,15 @@ from carpetlab import (
     GridPartition,
     SymbolWord,
     condition_rescale,
-    covering_number,
     entropy,
     finite_scale_dimension,
     gibbs_gap,
-    restricted_entropy,
 )
 from carpetlab.errors import (
     InsufficientLevels,
     SupportMismatch,
     UnnormalizedMeasure,
     ZeroMassCell,
-    ZeroMassRegion,
 )
 from carpetlab.symbolic import ApproxSquare
 
@@ -31,36 +28,6 @@ def grid_measure(base: int, depth: int) -> DiscreteMeasure:
     xs, ys = np.meshgrid(coords, coords)
     pts = np.column_stack([xs.ravel(), ys.ravel()])
     return DiscreteMeasure.uniform_on(pts)
-
-
-def min_diameter_cover(points: np.ndarray, r: float) -> int:
-    """Exact minimal number of diameter<=r sets covering the points.
-
-    Branch and bound over group assignments; a group stays valid iff all
-    pairwise distances inside it are <= r.  Exponential, fine for <= 12."""
-    n = len(points)
-    d = np.sqrt(((points[:, None, :] - points[None, :, :]) ** 2).sum(-1))
-    ok = d <= r + 1e-12
-    best = n
-
-    def rec(i: int, groups: list[list[int]]):
-        nonlocal best
-        if len(groups) >= best:
-            return
-        if i == n:
-            best = len(groups)
-            return
-        for g in groups:
-            if all(ok[i, j] for j in g):
-                g.append(i)
-                rec(i + 1, groups)
-                g.pop()
-        groups.append([i])
-        rec(i + 1, groups)
-        groups.pop()
-
-    rec(0, [])
-    return best
 
 
 # -- entropy --
@@ -85,7 +52,19 @@ def test_entropy_requires_normalized():
     mu = DiscreteMeasure([[0.5, 0.5]], [0.7])
     with pytest.raises(UnnormalizedMeasure):
         entropy(mu, GridPartition.square(2, 1))
-    assert mu.normalized().is_normalized
+
+
+def test_grid_partition_int64_cut(rng):
+    # 7**22 < 2**63 < 7**23 and 2**62 < 2**63: the cell indices of the
+    # larger scales would wrap in int64, so those partitions are refused
+    mu = DiscreteMeasure(rng.random((50, 2)), np.full(50, 1 / 50))
+    assert entropy(mu, GridPartition.square(7, 22)).cell_count == 50
+    assert entropy(mu, GridPartition.square(2, 62)).cell_count == 50
+    for base, level in ((7, 23), (7, 30), (2, 63), (3, -1)):
+        with pytest.raises(ValueError):
+            GridPartition.square(base, level)
+    with pytest.raises(ValueError):
+        GridPartition(2, 1, 2, -1)
 
 
 def test_mixed_partition_axes():
@@ -138,79 +117,6 @@ def test_condition_rescale_zero_mass():
     cell = ApproxSquare(SymbolWord(3, (2,)), SymbolWord(2, (1,)))
     with pytest.raises(ZeroMassCell):
         condition_rescale(mu, cell)
-
-
-# -- restricted entropy --
-
-
-def test_restricted_entropy_full_region():
-    mu = grid_measure(2, 2)
-    part = GridPartition.square(2, 2)
-    rep, mass = restricted_entropy(mu, [(0.0, 1.0, 0.0, 1.0)], part)
-    assert abs(mass - 1.0) < 1e-12
-    assert abs(rep.entropy - entropy(mu, part).entropy) < 1e-12
-
-
-def test_restricted_entropy_single_cell():
-    mu = grid_measure(2, 2)
-    part = GridPartition.square(2, 2)
-    rep, mass = restricted_entropy(mu, [(0.0, 0.25, 0.0, 0.25)], part)
-    assert abs(mass - 1.0 / 16) < 1e-12
-    assert rep.entropy == 0.0
-
-
-def test_restricted_entropy_zero_region():
-    mu = DiscreteMeasure.point_mass(0.9, 0.9)
-    with pytest.raises(ZeroMassRegion):
-        restricted_entropy(mu, [(0.0, 0.1, 0.0, 0.1)], GridPartition.square(2, 1))
-
-
-def test_restricted_entropy_drop_bound(rng):
-    # removing mass delta can lower the entropy by at most the binary
-    # entropy of delta plus delta * log(cell count)
-    part = GridPartition.square(2, 3)
-    for _ in range(200):
-        n = int(rng.integers(5, 40))
-        mu = DiscreteMeasure(rng.random((n, 2)), rng.dirichlet(np.ones(n)))
-        x0, y0 = rng.random(2) * 0.5
-        keep = [(x0, x0 + 0.5, y0, y0 + 0.5), (0.0, 1.0, 0.0, y0 / 2 + 1e-9)]
-        try:
-            rep, mass = restricted_entropy(mu, keep, part)
-        except ZeroMassRegion:
-            continue
-        delta = 1.0 - mass
-        full = entropy(mu, part)
-        if delta <= 0.0:
-            assert abs(rep.entropy - full.entropy) < 1e-9
-            continue
-        h2 = -delta * math.log(delta) - (1 - delta) * math.log(1 - delta) if 0 < delta < 1 else 0.0
-        drop = full.entropy - rep.entropy
-        assert drop <= h2 + delta * math.log(max(full.cell_count, 2)) + 1e-9
-
-
-# -- covering numbers --
-
-
-def test_covering_number_examples():
-    assert covering_number([[0.5, 0.5]], 0.1) == 1
-    pts = np.array([[0.05, 0.05], [0.55, 0.05], [0.05, 0.55], [0.95, 0.95]])
-    assert covering_number(pts, 0.2) == 4  # pairwise farther than 2r = 0.4
-    with pytest.raises(ValueError):
-        covering_number(pts, 0.0)
-
-
-def test_covering_number_vs_exact_cover(rng):
-    # two-sided factor-4 comparability with the true minimal cover; the
-    # grid count can undercut the exact count when two points share a cell
-    # but sit more than r apart, so only the factor bounds are theorems
-    for _ in range(200):
-        n = int(rng.integers(3, 13))
-        pts = rng.random((n, 2))
-        r = float(rng.uniform(0.15, 0.45))
-        grid = covering_number(pts, r)
-        exact = min_diameter_cover(pts, r)
-        assert exact >= grid / 4.0 - 1e-9
-        assert exact <= 4 * grid
 
 
 # -- finite-scale dimension --

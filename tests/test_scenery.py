@@ -13,24 +13,17 @@ from carpetlab import (
     bound_chain_report,
     box_packing_dimension,
     cover_measure,
-    empirical_measures_exponential,
     empirical_measures_linear,
     entropy,
     hausdorff_dimension,
     magnify_step,
     new_carpet,
     run_scenery,
-    select_entropy_subsequence,
     slice_cover,
     state_from_cell,
 )
 from carpetlab.errors import BlockTooDeep, WordTooShort, ZeroMassCell
-from carpetlab.scenery import (
-    BlockTable,
-    EmpiricalTriple,
-    _window_table,
-    exponential_windows,
-)
+from carpetlab.scenery import BlockTable, EmpiricalTriple, _window_table
 
 
 def full_grid_measure(c, depth):
@@ -59,11 +52,10 @@ def make_triple(c, nu_vec, eta_vec, depth=1):
         eta=eta,
         rho=rho,
         theta=c.theta,
-        kind="linear",
         index=0,
         window_nu=(1, 1),
         window_eta=(2, 2),
-        residual_tv=None,
+        residual_tv=0.0,
     )
 
 
@@ -265,51 +257,6 @@ def test_window_table_edges():
     assert_same_table(_window_table(word, 0, 3, 1), counter_table(word.symbols, 0, 3, 1))
     with pytest.raises(WordTooShort):
         _window_table(word, 1, 3, 3)
-
-
-def test_exponential_windows_basic(example):
-    theta = example.theta
-    word = SymbolWord(2, (0, 1) * 400)
-    lo, hi = exponential_windows(1, theta)
-    assert lo == 1
-    triple = empirical_measures_exponential(word, 1, theta, block=3)
-    assert triple.nu.tables[1] == {(word.symbols[1],): 1.0}
-
-    const = SymbolWord(2, (1,) * 800)
-    triple = empirical_measures_exponential(const, 6, theta, block=3)
-    assert triple.nu.tables[1] == {(1,): 1.0}
-    assert triple.eta.tables[1] == {(1,): 1.0}
-
-
-def test_exponential_window_ratio_tends_to_theta(example):
-    theta = example.theta
-    errs = []
-    for k in range(3, 13):
-        lo, hi = exponential_windows(k, theta)
-        errs.append(abs(lo / hi - theta))
-    assert errs[-1] < 0.01
-    assert errs[-1] < errs[0]
-
-
-def test_select_subsequence_constant_word(example):
-    theta = example.theta
-    need = math.floor(theta**-10) + 2
-    word = SymbolWord(2, (1,) * need)
-    assert select_entropy_subsequence(word, 10, theta, eps=1e-9) == list(range(1, 11))
-
-
-def test_select_subsequence_alternating_word(example):
-    theta = example.theta
-    need = math.floor(theta**-12) + 2
-    word = SymbolWord(2, tuple(i % 2 for i in range(need)))
-    selected = select_entropy_subsequence(word, 12, theta, eps=1e-3)
-    assert selected
-    assert any(k >= 8 for k in selected)
-
-
-def test_select_subsequence_word_too_short(example):
-    with pytest.raises(WordTooShort):
-        select_entropy_subsequence(SymbolWord(2, (0,) * 10), 12, example.theta, eps=0.1)
 
 
 # -- bound chains --

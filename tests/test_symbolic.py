@@ -14,7 +14,6 @@ from carpetlab import (
     carry_shift,
     coding_interval,
     cylinder_cover_count,
-    fiber_constraints,
     new_carpet,
     shift,
 )
@@ -215,33 +214,3 @@ def test_cylinder_cover_examples(example, full_square):
     with pytest.raises(UnoccupiedRowSymbol):
         cylinder_cover_count(missing_row, SymbolWord(2, (1,)), 1)
 
-
-# -- fiber constraints --
-
-
-def test_fiber_constraints_empty_at_zero(example):
-    orbit = RotationOrbit(example.theta, 0.0)
-    assert fiber_constraints(example, SymbolWord(2, (0,) * 20), 0, orbit) == []
-
-
-def test_fiber_constraints_example(example):
-    orbit = RotationOrbit(example.theta, 0.0)
-    y = SymbolWord(2, (0, 1) * 10)
-    constraints = fiber_constraints(example, y, 10, orbit, trim=0)
-    # return count 6, usable length floor((1 - theta) * 10 / theta) = 5
-    assert len(constraints) == 5
-    expected_rows = y.symbols[6:11]
-    assert constraints == [example.row_digits(j) for j in expected_rows]
-    assert constraints[0] == frozenset({0, 2})
-    assert constraints[1] == frozenset({1})
-    # default trim drops the scanned-constant tail
-    trimmed = fiber_constraints(example, y, 10, orbit)
-    assert len(trimmed) <= len(constraints)
-    with pytest.raises(WordTooShort):
-        fiber_constraints(example, SymbolWord(2, (0,) * 5), 10, orbit)
-
-
-def test_fiber_constraints_full_square(full_square):
-    orbit = RotationOrbit(full_square.theta, 0.25)
-    constraints = fiber_constraints(full_square, SymbolWord(2, (0, 1) * 12), 12, orbit, trim=0)
-    assert constraints and all(cset == frozenset({0, 1, 2}) for cset in constraints)
