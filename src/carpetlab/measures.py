@@ -65,45 +65,30 @@ class DiscreteMeasure:
 
 @dataclass(frozen=True)
 class GridPartition:
-    """Product grid partition with independent horizontal/vertical scales.
+    """Square grid partition of the unit square into base**level cells a side.
 
     Cells are half-open, left-closed: the cell index of a coordinate is
-    floor(coordinate * base**level).  A level of 0 on one axis means that
-    axis is not partitioned at all.  Cell indices are int64, so a negative
+    floor(coordinate * base**level).  Cell indices are int64, so a negative
     level or a scale base**level of 2**63 or more is rejected.
     """
 
-    x_base: int
-    x_level: int
-    y_base: int
-    y_level: int
+    base: int
+    level: int
 
     def __post_init__(self):
-        for base, level in ((self.x_base, self.x_level), (self.y_base, self.y_level)):
-            if level < 0:
-                raise ValueError(f"grid level must be >= 0, got {level}")
-            if base**level >= 2**63:
-                raise ValueError(f"grid scale {base}**{level} overflows int64 cell indices")
-
-    @classmethod
-    def square(cls, base: int, level: int) -> "GridPartition":
-        return cls(base, level, base, level)
+        if self.level < 0:
+            raise ValueError(f"grid level must be >= 0, got {self.level}")
+        if self.base**self.level >= 2**63:
+            raise ValueError(f"grid scale {self.base}**{self.level} overflows int64 cell indices")
 
     def cell_indices(self, points: np.ndarray) -> np.ndarray:
-        xs = self.x_base ** self.x_level
-        ys = self.y_base ** self.y_level
-        ix = np.floor(points[:, 0] * xs).astype(np.int64)
-        iy = np.floor(points[:, 1] * ys).astype(np.int64)
-        return np.stack([ix, iy], axis=1)
+        scale = self.base**self.level
+        return np.floor(points * scale).astype(np.int64)
 
     @property
     def norm_log(self) -> float:
-        """Normalizing log-scale: vertical side when present, else horizontal."""
-        if self.y_level > 0:
-            return self.y_level * math.log(self.y_base)
-        if self.x_level > 0:
-            return self.x_level * math.log(self.x_base)
-        return 0.0
+        """Normalizing log-scale: the log of the number of cells a side."""
+        return self.level * math.log(self.base)
 
 
 @dataclass(frozen=True)
@@ -190,6 +175,6 @@ def finite_scale_dimension(mu: DiscreteMeasure, base: int, levels: Iterable[int]
     if len(lvls) < 2:
         raise InsufficientLevels("need at least 2 levels")
     xs = np.array([l * math.log(base) for l in lvls])
-    hs = np.array([entropy(mu, GridPartition.square(base, l)).entropy for l in lvls])
+    hs = np.array([entropy(mu, GridPartition(base, l)).entropy for l in lvls])
     slope = np.polyfit(xs, hs, 1)[0]
     return float(slope)

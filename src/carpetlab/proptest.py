@@ -1,7 +1,7 @@
 """Seeded invariant suites behind the ``proptest`` CLI command.
 
-Each family either asserts a hard algebraic fact (any seed must pass) or
-reports a statistical diagnostic (failures are listed, never fatal).
+Each family asserts an invariant that must hold at every seed; any failed
+family fails the run.
 """
 
 from __future__ import annotations
@@ -75,7 +75,6 @@ class CheckResult:
     name: str
     passed: bool
     cases: int
-    hard: bool = True
     detail: str = ""
 
 
@@ -160,9 +159,10 @@ def check_gibbs_chains(rng: np.random.Generator, vectors_per_carpet: int = 10_00
 # symbolic families
 
 
-def check_cylinder_lower_bound(rng: np.random.Generator, q: int = 8) -> CheckResult:
+def check_cylinder_lower_bound(rng: np.random.Generator) -> CheckResult:
     """Brute-force the cylinder cover: every admissible digit word of length q
     lands in its own scale-q cell, so the count equals the product of row sizes."""
+    q = 8
     cases = 0
     for c in family_3x2():
         word = sy.SymbolWord(c.n, tuple(int(rng.choice(c.rows)) for _ in range(q)))
@@ -180,7 +180,8 @@ def check_cylinder_lower_bound(rng: np.random.Generator, q: int = 8) -> CheckRes
     return CheckResult("cylinder_lower_bound", True, cases)
 
 
-def check_coding_interval_nesting(rng: np.random.Generator, rounds: int = 10_000) -> CheckResult:
+def check_coding_interval_nesting(rng: np.random.Generator) -> CheckResult:
+    rounds = 10_000
     for _ in range(rounds):
         base = int(rng.integers(2, 8))
         length = int(rng.integers(1, 12))
@@ -238,21 +239,23 @@ def _random_measure(rng: np.random.Generator, max_atoms: int = 40) -> ms.Discret
     return ms.DiscreteMeasure(pts, wts)
 
 
-def check_entropy_bounds(rng: np.random.Generator, rounds: int = 10_000) -> CheckResult:
+def check_entropy_bounds(rng: np.random.Generator) -> CheckResult:
+    rounds = 10_000
     for _ in range(rounds):
         mu = _random_measure(rng)
-        part = ms.GridPartition.square(int(rng.integers(2, 5)), int(rng.integers(1, 5)))
+        part = ms.GridPartition(int(rng.integers(2, 5)), int(rng.integers(1, 5)))
         rep = ms.entropy(mu, part)
         if rep.entropy < 0.0 or rep.entropy > math.log(max(rep.cell_count, 1)) + 1e-9:
             return CheckResult("entropy_bounds", False, rounds, detail=str(rep))
     return CheckResult("entropy_bounds", True, rounds)
 
 
-def check_entropy_concavity(rng: np.random.Generator, rounds: int = 1000) -> CheckResult:
+def check_entropy_concavity(rng: np.random.Generator) -> CheckResult:
+    rounds = 1000
     for _ in range(rounds):
         mu = _random_measure(rng)
         nu = _random_measure(rng)
-        part = ms.GridPartition.square(2, int(rng.integers(1, 5)))
+        part = ms.GridPartition(2, int(rng.integers(1, 5)))
         mix = ms.DiscreteMeasure(
             np.vstack([mu.points, nu.points]),
             np.concatenate([mu.weights, nu.weights]) / 2.0,
@@ -264,7 +267,8 @@ def check_entropy_concavity(rng: np.random.Generator, rounds: int = 1000) -> Che
     return CheckResult("entropy_concavity", True, rounds)
 
 
-def check_condition_rescale_mass(rng: np.random.Generator, rounds: int = 1000) -> CheckResult:
+def check_condition_rescale_mass(rng: np.random.Generator) -> CheckResult:
+    rounds = 1000
     for _ in range(rounds):
         mu = _random_measure(rng, max_atoms=60)
         m = int(rng.integers(2, 5))
@@ -293,7 +297,8 @@ def _digits_of(value: float, base: int, length: int) -> tuple[int, ...]:
     return tuple(digits)
 
 
-def check_gibbs_gap(rng: np.random.Generator, rounds: int = 2000) -> CheckResult:
+def check_gibbs_gap(rng: np.random.Generator) -> CheckResult:
+    rounds = 2000
     for _ in range(rounds):
         size = int(rng.integers(2, 8))
         p = rng.dirichlet(np.ones(size))
@@ -310,7 +315,8 @@ def check_gibbs_gap(rng: np.random.Generator, rounds: int = 2000) -> CheckResult
 # slicer families
 
 
-def check_slice_conservative(rng: np.random.Generator, lines: int = 10) -> CheckResult:
+def check_slice_conservative(rng: np.random.Generator) -> CheckResult:
+    lines = 10
     c = example_carpet()
     depth = 5
     for _ in range(lines):
@@ -395,7 +401,8 @@ def _random_state(rng: np.random.Generator, c: cp.Carpet, word_len: int):
     return state, mu
 
 
-def check_tv_residual_trend(rng: np.random.Generator, words: int = 20) -> CheckResult:
+def check_tv_residual_trend(rng: np.random.Generator) -> CheckResult:
+    words = 20
     c = example_carpet()
     theta = c.theta
     sizes = (100, 1000, 10_000)
@@ -438,7 +445,8 @@ def check_phase_equidistribution() -> CheckResult:
     )
 
 
-def check_bound_chain(rng: np.random.Generator, tables: int = 200) -> CheckResult:
+def check_bound_chain(rng: np.random.Generator) -> CheckResult:
+    tables = 200
     c = example_carpet()
     need = 600
     for _ in range(tables):

@@ -139,7 +139,7 @@ def run_scenery(
     """
     if steps > MAX_STEPS:
         raise ValueError(f"steps capped at {MAX_STEPS}")
-    part = GridPartition.square(initial.n, probe_level)
+    part = GridPartition(initial.n, probe_level)
     records: list[dict] = []
     phases = [initial.u]
     exhausted_at: int | None = None

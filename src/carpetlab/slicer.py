@@ -1,11 +1,11 @@
 """Conservative covers of a line slice through a carpet by near-square cells.
 
 The enumeration walks the tree of digit-addressed cells that are consistent
-with the carpet's digit set, keeping a cell exactly when the line passes
-within the inflation radius of it.  The line-versus-rectangle test rounds
-every intermediate value outward, so at inflation 0 the kept set is a
-guaranteed superset of the truly intersecting cells: false positives only
-loosen a count, false negatives would corrupt it.
+with the carpet's digit set, keeping a cell exactly when the line may meet
+it.  The line-versus-rectangle test rounds every intermediate value
+outward, so the kept set is a guaranteed superset of the truly intersecting
+cells: false positives only loosen a count, false negatives would corrupt
+it.
 """
 
 from __future__ import annotations
@@ -97,14 +97,16 @@ def _roots(c: Carpet, p0: int) -> list[_Node]:
     return [((a,), ()) for a in c.columns]
 
 
-def _meets_line(
-    line: Line, inflation: float, x: np.ndarray, x_scale: int, y: np.ndarray, y_scale: int
-) -> np.ndarray:
+def _meets_line(line: Line, x: np.ndarray, x_scale: int, y: np.ndarray, y_scale: int) -> np.ndarray:
     """Outward-rounded test of the cells [x, x+1]/x_scale x [y, y+1]/y_scale.
 
     The index/scale quotients are correctly rounded (see ``_walk`` for the
     dtype rule); moving each intermediate value one ulp outward makes the
-    bracket safe, so a cell the line meets is never rejected.
+    bracket safe, so a cell the line meets is never rejected.  Each cell
+    side gets a second ulp as well.  Soundness does not need it: it is a
+    margin kept so that reports stay byte-identical, because deep counts
+    (those pinned by ``test_wide_bases_at_depth_20``, for example) are set
+    by rounding.  It can go once undecided cells are re-tested exactly.
     """
 
     def down(v):
@@ -116,10 +118,10 @@ def _meets_line(
     def ratio(index, scale):
         return np.asarray(index / scale, dtype=np.float64)
 
-    x0 = down(down(ratio(x, x_scale)) - inflation)
-    x1 = up(up(ratio(x + 1, x_scale)) + inflation)
-    y0 = down(down(ratio(y, y_scale)) - inflation)
-    y1 = up(up(ratio(y + 1, y_scale)) + inflation)
+    x0 = down(down(ratio(x, x_scale)))
+    x1 = up(up(ratio(x + 1, x_scale)))
+    y0 = down(down(ratio(y, y_scale)))
+    y1 = up(up(ratio(y + 1, y_scale)))
     at0, at1 = line.slope * x0, line.slope * x1
     lo = np.minimum(down(down(at0) + line.intercept), down(down(at1) + line.intercept))
     hi = np.maximum(up(up(at0) + line.intercept), up(up(at1) + line.intercept))
@@ -135,7 +137,6 @@ def _walk(
     c: Carpet,
     returns: list[int],
     line: Line,
-    inflation: float,
     max_depth: int,
     budget: int,
 ) -> tuple[list[int], np.ndarray, np.ndarray]:
@@ -165,7 +166,7 @@ def _walk(
         raise CellBudgetExceeded(f"visited more than {budget} cells")
     counts = [0] * (max_depth + 1)
     for depth in range(max_depth + 1):
-        keep = _meets_line(line, inflation, x, m ** returns[depth], y, n**depth)
+        keep = _meets_line(line, x, m ** returns[depth], y, n**depth)
         x, y = x[keep], y[keep]
         counts[depth] = len(x)
         if depth == max_depth:
@@ -214,7 +215,6 @@ class SliceCover:
 
     depth: int
     counts: list[int]  # counts[j] = kept cells at depth j, j = 0..depth
-    inflation: float
     line: Line
     carpet: Carpet
     x_depth: int  # horizontal word length of the kept cells
@@ -257,23 +257,19 @@ def slice_cover(
     c: Carpet,
     line: Line,
     depth: int,
-    inflation: float = 0.0,
     budget: int = DEFAULT_BUDGET,
 ) -> SliceCover:
-    """Cells of depth ``depth`` whose (inflated) rectangle the line may meet."""
+    """Cells of depth ``depth`` whose closed rectangle the line may meet."""
     if depth > 20:
         raise ValueError("depth capped at 20")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    if inflation < 0.0:
-        raise ValueError("inflation must be >= 0")
     orbit = RotationOrbit(c.theta, line.exponent(c.m))
     returns = [int(r) for r in orbit.return_counts(depth + 1)]
-    counts, x_index, y_index = _walk(c, returns, line, inflation, depth, budget)
+    counts, x_index, y_index = _walk(c, returns, line, depth, budget)
     return SliceCover(
         depth=depth,
         counts=counts,
-        inflation=inflation,
         line=line,
         carpet=c,
         x_depth=returns[depth],
@@ -286,12 +282,11 @@ def slice_counts(
     c: Carpet,
     line: Line,
     depths: Iterable[int],
-    inflation: float = 0.0,
     budget: int = DEFAULT_BUDGET,
 ) -> list[tuple[int, int]]:
     """(depth, kept-cell count) pairs from one traversal of the pruned tree."""
     ks = sorted(set(int(k) for k in depths))
-    cover = slice_cover(c, line, max(ks), inflation=inflation, budget=budget)
+    cover = slice_cover(c, line, max(ks), budget=budget)
     return [(k, cover.counts[k]) for k in ks]
 
 
@@ -302,9 +297,7 @@ class SliceEstimate:
     slope: float
     stderr: float
     depths: list[int]
-    counts: list[tuple[int, int]]
     bounds: dict[str, float]
-    empty: bool = False
 
     def to_dict(self) -> dict:
         return {
@@ -313,7 +306,7 @@ class SliceEstimate:
             "stderr": self.stderr,
             "depths": self.depths,
             "bounds": self.bounds,
-            "empty": self.empty,
+            "empty": False,
         }
 
 
@@ -355,16 +348,13 @@ def estimate_slice_dimension(
         slope=max(0.0, float(slope)),
         stderr=stderr,
         depths=[k for k, _ in usable],
-        counts=list(counts),
         bounds=carpet_bounds(c),
     )
 
 
-def cover_measure(
-    c: Carpet, line: Line, depth: int, inflation: float = 0.0
-) -> DiscreteMeasure:
+def cover_measure(c: Carpet, line: Line, depth: int) -> DiscreteMeasure:
     """Uniform probability measure on the centers of the depth-k cover cells."""
-    cover = slice_cover(c, line, depth, inflation=inflation)
+    cover = slice_cover(c, line, depth)
     if cover.count == 0:
         raise EmptySlice("cover is empty at the requested depth")
     return DiscreteMeasure.uniform_on(cover.centers)

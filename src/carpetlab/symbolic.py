@@ -115,19 +115,16 @@ def carry_shift(w: SymbolWord, phase: float, theta: float) -> SymbolWord:
     return w
 
 
-def coding_interval(w: SymbolWord, base: int | None = None) -> tuple[Fraction, Fraction]:
+def coding_interval(w: SymbolWord) -> tuple[Fraction, Fraction]:
     """Exact half-open interval of all points whose expansion extends ``w``.
 
-    Returns (lo, hi) with hi - lo = base**(-len(w)).
+    The expansion is in base ``w.alphabet_size``; returns (lo, hi) with
+    hi - lo = alphabet_size**(-len(w)).
     """
-    if base is None:
-        base = w.alphabet_size
     value = Fraction(0)
     scale = Fraction(1)
     for s in w.symbols:
-        if s >= base:
-            raise SymbolOutOfRange(f"symbol {s} not a base-{base} digit")
-        scale /= base
+        scale /= w.alphabet_size
         value += s * scale
     return value, value + scale
 

@@ -69,7 +69,7 @@ def test_magnify_uniform_grid_self_similar(full_square):
     # conditioned on one m x n cell: again a uniform grid, one level up
     assert len(out.mu) == len(mu) // (full_square.m * full_square.n)
     assert np.allclose(out.mu.weights, 1.0 / len(out.mu))
-    rep = entropy(out.mu, GridPartition.square(full_square.n, 2))
+    rep = entropy(out.mu, GridPartition(full_square.n, 2))
     # the 27 horizontal grid values split 7/7/7/6 over 4 bins, hence the slack
     assert abs(rep.normalized - 2.0) < 0.01
 

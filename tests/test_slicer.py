@@ -85,17 +85,6 @@ def test_count_growth_ratio(example):
         assert n2 <= n1 * example.m * example.n
 
 
-def test_cover_nesting(example):
-    line = Line.from_exponent(example.m, 0.61, 0.05)
-    orbit = RotationOrbit(example.theta, line.exponent(example.m))
-    covers = {k: slice_cover(example, line, k) for k in range(1, 9)}
-    for k in range(2, 9):
-        parents = {(sq.x_word.symbols, sq.y_word.symbols) for sq in covers[k - 1].cells}
-        p_parent = orbit.return_count(k - 1)
-        for sq in covers[k].cells:
-            assert (sq.x_word.symbols[:p_parent], sq.y_word.symbols[: k - 1]) in parents
-
-
 def test_budget_enforced(full_square):
     with pytest.raises(CellBudgetExceeded):
         slice_cover(full_square, Line(slope=1.0, intercept=0.0), 10, budget=100)

@@ -158,8 +158,6 @@ def test_coding_interval_examples():
     assert coding_interval(SymbolWord(2, (0, 1))) == (Fraction(1, 4), Fraction(1, 2))
     lo, hi = coding_interval(SymbolWord(3, (2, 0, 1)))
     assert (lo, hi) == (Fraction(19, 27), Fraction(20, 27))
-    with pytest.raises(SymbolOutOfRange):
-        coding_interval(SymbolWord(3, (2,)), base=2)
 
 
 # -- approximate squares --
