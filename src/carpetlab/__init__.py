@@ -17,7 +17,7 @@ from .carpet import (
     slice_dimension_bound,
     star_dimension,
 )
-from .io import dump_carpet, load_carpet, parse_carpet
+from .io import load_carpet, parse_carpet
 from .measures import (
     DiscreteMeasure,
     EntropyReport,
@@ -44,7 +44,6 @@ from .slicer import (
     Line,
     SliceCover,
     SliceEstimate,
-    cover_measure,
     estimate_slice_dimension,
     exact_cover_cells,
     slice_counts,

@@ -9,7 +9,6 @@ anywhere is double-precision arithmetic.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from functools import cached_property
@@ -67,11 +66,6 @@ class Carpet:
     @property
     def size(self) -> int:
         return len(self.digits)
-
-    @property
-    def is_degenerate(self) -> bool:
-        """Single-digit carpet: the attractor is a point, every dimension 0."""
-        return len(self.digits) == 1
 
     @property
     def uniform_rows(self) -> bool:
@@ -159,8 +153,7 @@ def slice_dimension_bound(c: Carpet, which: str = "hausdorff") -> float:
 
     Returns ``max(0, dim_X / dim_star * (dim_star - 1))`` where ``dim_X``
     is the Hausdorff or box/packing dimension of the carpet.  Degenerate
-    single-digit carpets (star dimension 0) get bound 0; callers can check
-    ``c.is_degenerate``.
+    single-digit carpets (star dimension 0) get bound 0.
     """
     if which == "hausdorff":
         dim_x = hausdorff_dimension(c)
@@ -256,11 +249,6 @@ class DimensionReport:
 
     def to_dict(self) -> dict:
         return {f.name: getattr(self, f.name) for f in fields(self)}
-
-    def to_json(self) -> str:
-        payload = {"schema": "carpet-lab/1"}
-        payload.update(self.to_dict())
-        return json.dumps(payload, sort_keys=True)
 
 
 def dimension_report(c: Carpet) -> DimensionReport:

@@ -18,11 +18,11 @@ from .errors import (
     AxisParallelLine,
     BadExponent,
     CarpetFileError,
+    CarpetLabError,
     CellBudgetExceeded,
     DigitOutOfRange,
     DomainError,
     EmptyDigits,
-    EmptySlice,
     InsufficientData,
 )
 from .io import atomic_write, load_carpet
@@ -98,7 +98,7 @@ def _add_line_args(p: argparse.ArgumentParser):
     g.add_argument("--u0", type=float, help="slope exponent: slope = sign * m**u0")
     g.add_argument("--slope", type=float, help="literal slope value")
     p.add_argument("--t", type=float, default=0.0, help="y-intercept")
-    p.add_argument("--sign", type=int, choices=[1, -1], default=1)
+    p.add_argument("--sign", type=int, choices=[1, -1], default=1, help="sign of exponent slopes")
 
 
 def _build_line(c: Carpet, u0, slope, t: float, sign: int, horizon: int) -> Line:
@@ -122,9 +122,8 @@ def _emit(out_dir: str | None, name: str, content: str):
 
 
 def _report_json(payload: dict) -> str:
-    out = {"schema": SCHEMA}
-    out.update(payload)
-    return json.dumps(out, sort_keys=True)
+    """The one encoding of every JSON report and JSONL line."""
+    return json.dumps({"schema": SCHEMA, **payload}, sort_keys=True)
 
 
 # ---------------------------------------------------------------------------
@@ -139,7 +138,7 @@ def cmd_analyze(args) -> int:
         print(text, end="")
         _emit(args.out, "report.csv", text)
     else:
-        text = rep.to_json()
+        text = _report_json(rep.to_dict())
         print(text)
         _emit(args.out, "report.json", text + "\n")
     return 0
@@ -155,7 +154,6 @@ def _estimate_payload(c: Carpet, counts: list[tuple[int, int]], drop_head: int) 
         return estimate_slice_dimension(c, counts, drop_head=drop_head).to_dict()
     except InsufficientData:
         return {
-            "schema": SCHEMA,
             "slope": 0.0,
             "stderr": 0.0,
             "depths": [],
@@ -175,7 +173,7 @@ def cmd_slice(args) -> int:
     payload = _estimate_payload(c, counts, args.drop_head)
     payload["u0"] = line.exponent(c.m)
     payload["t"] = line.intercept
-    text = json.dumps(payload, sort_keys=True)
+    text = _report_json(payload)
     print(counts_csv if args.format == "csv" else text, end="" if args.format == "csv" else "\n")
     _emit(args.out, "slice_counts.csv", counts_csv)
     _emit(args.out, "slice_estimate.json", text + "\n")
@@ -217,7 +215,7 @@ def cmd_sweep(args) -> int:
             counts = [(k, cover.counts[k]) for k in range(lo, hi + 1)]
             est = _estimate_payload(c, counts, args.drop_head)
             return f"{u0_str},{t!r},{est['slope']!r},{est['stderr']!r},{base},\n"
-        except Exception as exc:
+        except (CarpetLabError, ValueError) as exc:
             return f"{u0_str},{t!r},,,{base},{type(exc).__name__}\n"
 
     text = header + "".join([one(*p) for p in params])
@@ -254,11 +252,11 @@ def cmd_scenery(args) -> int:
     gamma = finite_scale_dimension(mu0, c.n, range(2, max(3, min(hi, 8)) + 1))
     chain = bound_chain_report(c, triple, block=args.block, gamma_proxy=gamma)
     chain_payload = chain.to_dict()
-    chain_payload["triple"] = triple.to_dict()
+    chain_payload["triple"] = {"schema": SCHEMA, **triple.to_dict()}
     chain_payload["exhausted_at"] = summary.exhausted_at
-    chain_text = json.dumps(chain_payload, sort_keys=True)
+    chain_text = _report_json(chain_payload)
     print(chain_text)
-    _emit(args.out, "orbit.jsonl", summary.to_jsonl())
+    _emit(args.out, "orbit.jsonl", "".join(_report_json(r) + "\n" for r in summary.records))
     _emit(args.out, "chain.json", chain_text + "\n")
     if summary.exhausted_at is not None:
         print(f"measure support exhausted at step {summary.exhausted_at}", file=sys.stderr)
@@ -275,8 +273,7 @@ def cmd_proptest(args) -> int:
         lines.append(f"{status} {r.name} (cases={r.cases}){detail}")
     text = "\n".join(lines) + "\n"
     print(text, end="")
-    if args.out:
-        atomic_write(Path(args.out) / "proptest.txt", text)
+    _emit(args.out, "proptest.txt", text)
     return 0 if all(r.passed for r in results) else 1
 
 
@@ -307,13 +304,14 @@ def build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("sweep", help="slice estimates over a grid of lines")
     _add_common(p)
-    p.add_argument(
+    g = p.add_mutually_exclusive_group()
+    g.add_argument(
         "--grid", type=_parse_grid, default=None, help="UxT grid of (u0, t) values, e.g. 10x10"
     )
-    p.add_argument("--u0s", default=None, help="comma-separated slope exponents")
-    p.add_argument("--slopes", default=None, help="comma-separated literal slopes")
+    g.add_argument("--u0s", default=None, help="comma-separated slope exponents")
+    g.add_argument("--slopes", default=None, help="comma-separated literal slopes")
     p.add_argument("--ts", default=None, help="comma-separated intercepts")
-    p.add_argument("--sign", type=int, choices=[1, -1], default=1)
+    p.add_argument("--sign", type=int, choices=[1, -1], default=1, help="sign of exponent slopes")
     p.add_argument("--depths", type=_parse_depths, default=(4, 12))
     p.add_argument("--budget", type=int, default=DEFAULT_BUDGET)
     p.add_argument("--drop-head", dest="drop_head", type=_parse_drop_head, default=3)
@@ -343,9 +341,20 @@ def build_parser() -> argparse.ArgumentParser:
     return parser
 
 
+def _reject_ignored_flags(parser: argparse.ArgumentParser, args):
+    """Exit 2 on flag pairs that parse but that the line specs would drop."""
+    if getattr(args, "grid", None) is not None and args.ts is not None:
+        parser.error("argument --ts: not allowed with argument --grid")
+    if getattr(args, "sign", 1) == -1:
+        for flag in ("slope", "slopes"):
+            if getattr(args, flag, None) is not None:
+                parser.error(f"argument --sign: -1 not allowed with argument --{flag}")
+
+
 def main(argv: list[str] | None = None) -> int:
     parser = build_parser()
     args = parser.parse_args(argv)
+    _reject_ignored_flags(parser, args)
     try:
         return args.fn(args)
     except CarpetFileError as exc:
@@ -363,9 +372,6 @@ def main(argv: list[str] | None = None) -> int:
     except CellBudgetExceeded as exc:
         print(f"budget error: {exc}", file=sys.stderr)
         return EXIT_BUDGET
-    except EmptySlice as exc:
-        print(f"empty slice: {exc}", file=sys.stderr)
-        return 0
 
 
 if __name__ == "__main__":

@@ -77,10 +77,6 @@ class CellBudgetExceeded(CarpetLabError):
     pass
 
 
-class EmptySlice(CarpetLabError):
-    pass
-
-
 class InsufficientData(CarpetLabError):
     pass
 

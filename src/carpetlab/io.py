@@ -50,12 +50,6 @@ def load_carpet(path: str | Path) -> Carpet:
     return parse_carpet(text)
 
 
-def dump_carpet(c: Carpet) -> str:
-    lines = [f"{c.m} {c.n}"]
-    lines.extend(f"{x} {y}" for x, y in sorted(c.digits))
-    return "\n".join(lines) + "\n"
-
-
 def atomic_write(path: str | Path, content: str):
     """Write via a temp file and rename so failures never leave partial files."""
     path = Path(path)

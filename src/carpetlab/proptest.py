@@ -168,12 +168,7 @@ def check_cylinder_lower_bound(rng: np.random.Generator) -> CheckResult:
         word = sy.SymbolWord(c.n, tuple(int(rng.choice(c.rows)) for _ in range(q)))
         lower, upper = sy.cylinder_cover_count(c, word, q)
         choices = [sorted(c.row_digits(j)) for j in word.symbols]
-        cells = set()
-        for combo in itertools.product(*choices):
-            idx = 0
-            for d in combo:
-                idx = idx * c.m + d
-            cells.add(idx)
+        cells = {sy.digits_to_index(combo, c.m) for combo in itertools.product(*choices)}
         if len(cells) != lower or upper != 5 * lower:
             return CheckResult("cylinder_lower_bound", False, cases, detail=str(sorted(c.digits)))
         cases += 1

@@ -9,7 +9,6 @@ to wrap, so the conditioning cells stay comparable to squares.
 
 from __future__ import annotations
 
-import json
 import math
 from dataclasses import dataclass, fields
 from typing import Mapping
@@ -40,17 +39,9 @@ class SceneryState:
     u: float
     omega: SymbolWord
 
-    @property
-    def m(self) -> int:
-        return self.x_word.alphabet_size
-
-    @property
-    def n(self) -> int:
-        return self.y_word.alphabet_size
-
 
 def _point_cell(state: SceneryState, carry: bool) -> ApproxSquare:
-    x_prefix = state.x_word.prefix(1) if carry else SymbolWord(state.m, ())
+    x_prefix = state.x_word.prefix(1) if carry else SymbolWord(state.x_word.alphabet_size, ())
     return ApproxSquare(x_prefix, state.y_word.prefix(1))
 
 
@@ -116,14 +107,6 @@ class ScenerySummary:
     phases: np.ndarray
     exhausted_at: int | None
 
-    def to_jsonl(self) -> str:
-        lines = []
-        for rec in self.records:
-            payload = {"schema": "carpet-lab/1"}
-            payload.update(rec)
-            lines.append(json.dumps(payload, sort_keys=True))
-        return "\n".join(lines) + ("\n" if lines else "")
-
 
 def run_scenery(
     initial: SceneryState,
@@ -139,7 +122,7 @@ def run_scenery(
     """
     if steps > MAX_STEPS:
         raise ValueError(f"steps capped at {MAX_STEPS}")
-    part = GridPartition(initial.n, probe_level)
+    part = GridPartition(initial.y_word.alphabet_size, probe_level)
     records: list[dict] = []
     phases = [initial.u]
     exhausted_at: int | None = None
@@ -281,7 +264,6 @@ class EmpiricalTriple:
             return {",".join(map(str, k)): v for k, v in sorted(t.tables[1].items())}
 
         return {
-            "schema": "carpet-lab/1",
             "kind": "linear",
             "index": self.index,
             "theta": self.theta,
@@ -356,9 +338,7 @@ class BoundChainReport:
     entropy_gap: float
 
     def to_dict(self) -> dict:
-        payload = {"schema": "carpet-lab/1"}
-        payload.update({f.name: getattr(self, f.name) for f in fields(self)})
-        return payload
+        return {f.name: getattr(self, f.name) for f in fields(self)}
 
 
 def bound_chain_report(

@@ -19,14 +19,8 @@ from typing import Iterable
 import numpy as np
 
 from .carpet import Carpet, dimension_report
-from .errors import (
-    AxisParallelLine,
-    CellBudgetExceeded,
-    EmptySlice,
-    InsufficientData,
-)
-from .measures import DiscreteMeasure
-from .symbolic import ApproxSquare, RotationOrbit, SymbolWord
+from .errors import AxisParallelLine, CellBudgetExceeded, InsufficientData
+from .symbolic import ApproxSquare, RotationOrbit, SymbolWord, digits_to_index
 
 DEFAULT_BUDGET = 10**8
 
@@ -196,13 +190,6 @@ def _walk(
     return counts, x, y
 
 
-def _digits_to_index(digits: tuple[int, ...], base: int) -> int:
-    idx = 0
-    for d in digits:
-        idx = idx * base + d
-    return idx
-
-
 def _index_to_digits(index: np.ndarray, base: int, length: int) -> list[tuple[int, ...]]:
     """Length-``length`` base-``base`` words of the indices, most significant first."""
     places = [_digit(index, base, length - 1 - j).tolist() for j in range(length)]
@@ -215,7 +202,6 @@ class SliceCover:
 
     depth: int
     counts: list[int]  # counts[j] = kept cells at depth j, j = 0..depth
-    line: Line
     carpet: Carpet
     x_depth: int  # horizontal word length of the kept cells
     x_index: np.ndarray  # kept cells at ``depth``, in depth-first order
@@ -270,7 +256,6 @@ def slice_cover(
     return SliceCover(
         depth=depth,
         counts=counts,
-        line=line,
         carpet=c,
         x_depth=returns[depth],
         x_index=x_index,
@@ -301,7 +286,6 @@ class SliceEstimate:
 
     def to_dict(self) -> dict:
         return {
-            "schema": "carpet-lab/1",
             "slope": self.slope,
             "stderr": self.stderr,
             "depths": self.depths,
@@ -352,14 +336,6 @@ def estimate_slice_dimension(
     )
 
 
-def cover_measure(c: Carpet, line: Line, depth: int) -> DiscreteMeasure:
-    """Uniform probability measure on the centers of the depth-k cover cells."""
-    cover = slice_cover(c, line, depth)
-    if cover.count == 0:
-        raise EmptySlice("cover is empty at the requested depth")
-    return DiscreteMeasure.uniform_on(cover.centers)
-
-
 def exact_cover_cells(
     c: Carpet,
     slope: Fraction,
@@ -387,9 +363,9 @@ def exact_cover_cells(
     for xw, yw in level:
         xs = Fraction(c.m) ** len(xw)
         ys = Fraction(c.n) ** len(yw)
-        x0 = Fraction(_digits_to_index(xw, c.m)) / xs
+        x0 = Fraction(digits_to_index(xw, c.m)) / xs
         x1 = x0 + 1 / xs
-        y0 = Fraction(_digits_to_index(yw, c.n)) / ys
+        y0 = Fraction(digits_to_index(yw, c.n)) / ys
         y1 = y0 + 1 / ys
         va = slope * x0 + intercept
         vb = slope * x1 + intercept

@@ -115,6 +115,14 @@ def carry_shift(w: SymbolWord, phase: float, theta: float) -> SymbolWord:
     return w
 
 
+def digits_to_index(digits: tuple[int, ...], base: int) -> int:
+    """Integer with the given base-``base`` digits, most significant first."""
+    idx = 0
+    for d in digits:
+        idx = idx * base + d
+    return idx
+
+
 def coding_interval(w: SymbolWord) -> tuple[Fraction, Fraction]:
     """Exact half-open interval of all points whose expansion extends ``w``.
 
@@ -200,14 +208,6 @@ class ApproxSquare:
     y_word: SymbolWord
 
     @property
-    def x_base(self) -> int:
-        return self.x_word.alphabet_size
-
-    @property
-    def y_base(self) -> int:
-        return self.y_word.alphabet_size
-
-    @property
     def x_depth(self) -> int:
         return len(self.x_word)
 
@@ -217,31 +217,19 @@ class ApproxSquare:
 
     @property
     def x_index(self) -> int:
-        idx = 0
-        for s in self.x_word.symbols:
-            idx = idx * self.x_base + s
-        return idx
+        return digits_to_index(self.x_word.symbols, self.x_word.alphabet_size)
 
     @property
     def y_index(self) -> int:
-        idx = 0
-        for s in self.y_word.symbols:
-            idx = idx * self.y_base + s
-        return idx
+        return digits_to_index(self.y_word.symbols, self.y_word.alphabet_size)
 
     @property
     def x_scale(self) -> int:
-        return self.x_base ** self.x_depth
+        return self.x_word.alphabet_size ** self.x_depth
 
     @property
     def y_scale(self) -> int:
-        return self.y_base ** self.depth
-
-    def rect(self) -> tuple[float, float, float, float]:
-        """(x0, x1, y0, y1) in double precision."""
-        xs, ys = self.x_scale, self.y_scale
-        xi, yi = self.x_index, self.y_index
-        return (xi / xs, (xi + 1) / xs, yi / ys, (yi + 1) / ys)
+        return self.y_word.alphabet_size ** self.depth
 
     def center(self) -> tuple[float, float]:
         return ((self.x_index + 0.5) / self.x_scale, (self.y_index + 0.5) / self.y_scale)

@@ -91,7 +91,6 @@ def test_full_square_and_point():
     assert abs(box_packing_dimension(full) - 2.0) < 1e-12
     assert abs(star_dimension(full) - 2.0) < 1e-12
     point = new_carpet(3, 2, [(1, 1)])
-    assert point.is_degenerate
     assert hausdorff_dimension(point) == 0.0
     assert box_packing_dimension(point) == 0.0
     assert star_dimension(point) == 0.0

@@ -1,0 +1,34 @@
+"""Every name the package exports is used by the program itself."""
+
+import ast
+from pathlib import Path
+
+ROOT = Path(__file__).resolve().parents[1]
+PACKAGE = ROOT / "src" / "carpetlab"
+
+
+def _references(path: Path) -> set[str]:
+    names = set()
+    for node in ast.walk(ast.parse(path.read_text())):
+        if isinstance(node, ast.Name) and isinstance(node.ctx, ast.Load):
+            names.add(node.id)
+        elif isinstance(node, ast.Attribute):
+            names.add(node.attr)
+        elif isinstance(node, ast.ImportFrom):
+            names.update(alias.name for alias in node.names)
+    return names
+
+
+def test_exports_reached():
+    """An export that only unit tests call is a test edit away, not silent."""
+    init = ast.parse((PACKAGE / "__init__.py").read_text())
+    exported = {
+        alias.asname or alias.name
+        for node in init.body
+        if isinstance(node, ast.ImportFrom)
+        for alias in node.names
+    }
+    sources = [p for p in PACKAGE.glob("*.py") if p.name != "__init__.py"]
+    sources.append(ROOT / "tests" / "test_acceptance.py")
+    reached = set().union(*(_references(p) for p in sources))
+    assert sorted(exported - reached) == []

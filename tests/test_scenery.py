@@ -12,7 +12,6 @@ from carpetlab import (
     SymbolWord,
     bound_chain_report,
     box_packing_dimension,
-    cover_measure,
     empirical_measures_linear,
     entropy,
     hausdorff_dimension,
@@ -118,7 +117,7 @@ def test_run_scenery_diagonal_probe_near_one(full_square):
     # at level 4 where the normalized excess is small
     line = Line(slope=1.0, intercept=0.0)
     cover = slice_cover(full_square, line, 12)
-    mu = cover_measure(full_square, line, 12)
+    mu = DiscreteMeasure.uniform_on(cover.centers)
     state = state_from_cell(full_square, cover.cells[0], mu, 0.0, 40)
     summary = run_scenery(state, 10, full_square.theta, probe_level=4)
     values = [rec["probe_entropy"] for rec in summary.records]
@@ -128,7 +127,7 @@ def test_run_scenery_diagonal_probe_near_one(full_square):
 def test_run_scenery_exhaustion_reported(full_square):
     line = Line(slope=1.0, intercept=0.0)
     cover = slice_cover(full_square, line, 6)
-    mu = cover_measure(full_square, line, 6)
+    mu = DiscreteMeasure.uniform_on(cover.centers)
     state = state_from_cell(full_square, cover.cells[0], mu, 0.0, 80)
     summary = run_scenery(state, 60, full_square.theta)
     assert summary.exhausted_at is not None
@@ -145,7 +144,7 @@ def test_run_scenery_caps_steps(full_square):
 def test_state_from_cell_words_are_carpet_consistent(example):
     line = Line.from_exponent(example.m, 0.3, 0.2)
     cover = slice_cover(example, line, 6)
-    mu = cover_measure(example, line, 6)
+    mu = DiscreteMeasure.uniform_on(cover.centers)
     state = state_from_cell(example, cover.cells[0], mu, 0.3, 50)
     assert len(state.y_word) == 50
     for a, b in zip(state.x_word.symbols, state.y_word.symbols):
@@ -314,15 +313,3 @@ def test_block_rate_estimate_decreases(rng, example):
     for h1, h2 in zip(curve, curve[1:]):
         assert h2 <= h1 + 1e-3
 
-
-def test_summary_jsonl(full_square):
-    mu = DiscreteMeasure.point_mass(0.0, 0.0)
-    state = carpet_point_state(full_square, mu, [(0, 0)] * 12, u0=0.0)
-    summary = run_scenery(state, 5, full_square.theta)
-    lines = summary.to_jsonl().strip().splitlines()
-    assert len(lines) == len(summary.records)
-    import json
-
-    rec = json.loads(lines[0])
-    assert rec["schema"] == "carpet-lab/1"
-    assert {"step", "u", "probe_entropy", "probe_cells", "cell_mass"} <= set(rec)

@@ -6,9 +6,9 @@ import numpy as np
 import pytest
 
 from carpetlab import (
+    DiscreteMeasure,
     Line,
     RotationOrbit,
-    cover_measure,
     estimate_slice_dimension,
     exact_cover_cells,
     finite_scale_dimension,
@@ -16,12 +16,7 @@ from carpetlab import (
     slice_counts,
     slice_cover,
 )
-from carpetlab.errors import (
-    AxisParallelLine,
-    CellBudgetExceeded,
-    EmptySlice,
-    InsufficientData,
-)
+from carpetlab.errors import AxisParallelLine, CellBudgetExceeded, InsufficientData
 from carpetlab.proptest import family_3x2
 
 
@@ -233,26 +228,11 @@ def test_product_carpet_diagonal_tracks_factor_dimension():
     assert abs(est.slope - factor_dim) < 0.05
 
 
-def test_cover_measure(full_square, example):
-    line = Line(slope=1.0, intercept=0.0)
-    mu = cover_measure(full_square, line, 8)
-    assert abs(mu.total_mass - 1.0) < 1e-12
-    assert 2**8 <= len(mu) <= 3 * 2**8
-    assert np.allclose(mu.weights, 1.0 / len(mu))
-
-    single = new_carpet(3, 2, [(0, 0)])
-    point = cover_measure(single, Line(slope=1.0, intercept=0.0), 6)
-    assert len(point) == 1
-
-    with pytest.raises(EmptySlice):
-        cover_measure(example, Line(slope=2.5, intercept=5.0), 6)
-
-
 def test_cover_measure_dimension_matches_regression(full_square):
     # shallow covers carry an upward entropy transient from the bounded
     # horizontal multiplicity of the cells; at depth 12 it has decayed
     line = Line(slope=1.0, intercept=0.0)
-    mu = cover_measure(full_square, line, 12)
+    mu = DiscreteMeasure.uniform_on(slice_cover(full_square, line, 12).centers)
     counts = slice_counts(full_square, line, range(4, 13))
     est = estimate_slice_dimension(full_square, counts, drop_head=2)
     fs = finite_scale_dimension(mu, full_square.n, range(2, 8))

@@ -176,7 +176,7 @@ def test_approx_square_example():
 def test_approx_square_depth_zero():
     orbit = RotationOrbit(THETA, 0.0)  # no carry at index 0
     sq = approx_square_at(SymbolWord(3, ()), SymbolWord(2, ()), 0, orbit)
-    assert sq.rect() == (0.0, 1.0, 0.0, 1.0)
+    assert (sq.x_index, sq.x_scale, sq.y_index, sq.y_scale) == (0, 1, 0, 1)
 
 
 def test_approx_square_diameter_bracket(rng):
