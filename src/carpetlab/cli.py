@@ -308,7 +308,11 @@ def build_parser() -> argparse.ArgumentParser:
     g.add_argument(
         "--grid", type=_parse_grid, default=None, help="UxT grid of (u0, t) values, e.g. 10x10"
     )
-    g.add_argument("--u0s", default=None, help="comma-separated slope exponents")
+    g.add_argument(
+        "--u0s",
+        default=None,
+        help="comma-separated slope exponents (default 0.5 without --grid and --slopes)",
+    )
     g.add_argument("--slopes", default=None, help="comma-separated literal slopes")
     p.add_argument("--ts", default=None, help="comma-separated intercepts")
     p.add_argument("--sign", type=int, choices=[1, -1], default=1, help="sign of exponent slopes")

@@ -13,13 +13,15 @@ from .symbolic import ApproxSquare
 
 MASS_TOL = 1e-12
 MIN_ATOM_WEIGHT = 1e-300  # below this, conditioning drops the atom outright
+BELOW_ONE = np.nextafter(1.0, 0.0)  # rescaled coordinates are clamped into [0, BELOW_ONE]
 
 
 class DiscreteMeasure:
     """Weighted atoms in [0, 1]^2, treated as an immutable value.
 
-    Aggregations use numpy reductions, which are deterministic and
-    order-independent for a fixed atom array.
+    Aggregations are deterministic for a fixed atom array but depend on its
+    order: a grid cell's mass is the sum of its atoms' weights taken one by
+    one in atom order, and cells come out in lexicographic (ix, iy) order.
     """
 
     def __init__(self, points, weights, *, validate: bool = True):
@@ -111,11 +113,20 @@ def entropy(mu: DiscreteMeasure, part: GridPartition) -> EntropyReport:
 
 
 def _aggregate(indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+    """Masses of the occupied cells, in lexicographic (ix, iy) order.
+
+    Each cell's weights are added one by one in atom order (``bincount``),
+    so the masses do not depend on how the sort breaks ties.
+    """
     if len(weights) == 0:
         return np.empty(0)
-    _, inverse = np.unique(indices, axis=0, return_inverse=True)
-    sums = np.zeros(inverse.max() + 1)
-    np.add.at(sums, inverse, weights)
+    order = np.lexsort((indices[:, 1], indices[:, 0]))
+    cells = indices[order]
+    new_cell = np.ones(len(order), dtype=bool)
+    new_cell[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    inverse = np.empty_like(order)
+    inverse[order] = np.cumsum(new_cell) - 1
+    sums = np.bincount(inverse, weights)
     return sums[sums > 0.0]
 
 
@@ -134,34 +145,46 @@ def gibbs_gap(p: Sequence[float], q: Sequence[float]) -> float:
     return float((ps * (np.log(ps) - np.log(qs))).sum())
 
 
+def _locate(mu: DiscreteMeasure, sq: ApproxSquare) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Cell membership of the atoms, the (N, 2) products of the atoms with
+    the cell's scales and the cell's index pair, both in ``np.longdouble``.
+
+    The products are exact enough for iterated zooms only where
+    ``longdouble`` has a 64-bit significand (x87 extended, as on x86-64
+    Linux); where it is plain float64, acceptance criterion 6 fails.
+    """
+    scaled = mu.points * np.array([sq.x_scale, sq.y_scale], dtype=np.longdouble)
+    origin = np.array([sq.x_index, sq.y_index], dtype=np.longdouble)
+    hit = np.floor(scaled) == origin
+    return hit[:, 0] & hit[:, 1], scaled, origin
+
+
 def cell_mask(mu: DiscreteMeasure, sq: ApproxSquare) -> np.ndarray:
-    """Atoms lying in the cell (left-closed convention, extended precision)."""
-    ix = np.floor(mu.points[:, 0].astype(np.longdouble) * sq.x_scale)
-    iy = np.floor(mu.points[:, 1].astype(np.longdouble) * sq.y_scale)
-    return (ix == sq.x_index) & (iy == sq.y_index)
+    """Atoms lying in the cell (left-closed convention), decided on the
+    64-bit-significand ``longdouble`` products of ``_locate``."""
+    return _locate(mu, sq)[0]
 
 
 def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     """Condition ``mu`` on the cell and blow the cell up to the unit square.
 
     Atoms in the cell are renormalized to total mass 1 and mapped by
-    (x, y) -> (frac(x * m^p), frac(y * n^k)).  The rescaling runs in
-    extended precision so that iterating single-level zooms agrees with one
-    deep zoom to well below 1e-9 per coordinate.
+    (x, y) -> (frac(x * m^p), frac(y * n^k)).  The product and the
+    subtraction of the cell index run in ``np.longdouble`` with a 64-bit
+    significand (see ``_locate``), so that iterating single-level zooms
+    agrees with one deep zoom to well below 1e-9 per coordinate.
     """
-    mask = cell_mask(mu, sq) & (mu.weights > MIN_ATOM_WEIGHT)
-    if not np.any(mask):
+    in_cell, scaled, origin = _locate(mu, sq)
+    mask = in_cell & (mu.weights > MIN_ATOM_WEIGHT)
+    if not mask.any():
         raise ZeroMassCell("cell carries no mass")
     wts = mu.weights[mask]
     total = wts.sum()
     if total <= 0.0:
         raise ZeroMassCell("cell carries no mass")
-    pts = mu.points[mask].astype(np.longdouble)
-    scaled = np.empty_like(pts)
-    scaled[:, 0] = pts[:, 0] * sq.x_scale - sq.x_index
-    scaled[:, 1] = pts[:, 1] * sq.y_scale - sq.y_index
-    out = scaled.astype(np.float64)
-    np.clip(out, 0.0, np.nextafter(1.0, 0.0), out=out)
+    out = (scaled[mask] - origin).astype(np.float64)
+    np.maximum(out, 0.0, out=out)
+    np.minimum(out, BELOW_ONE, out=out)
     return DiscreteMeasure(out, wts / total, validate=False)
 
 

@@ -41,8 +41,7 @@ class SceneryState:
 
 
 def _point_cell(state: SceneryState, carry: bool) -> ApproxSquare:
-    x_prefix = state.x_word.prefix(1) if carry else SymbolWord(state.x_word.alphabet_size, ())
-    return ApproxSquare(x_prefix, state.y_word.prefix(1))
+    return ApproxSquare(state.x_word.prefix(1 if carry else 0), state.y_word.prefix(1))
 
 
 def _cell_mass(mu: DiscreteMeasure, sq: ApproxSquare) -> float:

@@ -1,4 +1,5 @@
 import math
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -18,6 +19,7 @@ from carpetlab.errors import (
     UnnormalizedMeasure,
     ZeroMassCell,
 )
+from carpetlab.measures import cell_mask
 from carpetlab.symbolic import ApproxSquare
 
 
@@ -65,6 +67,43 @@ def test_grid_partition_int64_cut(rng):
             GridPartition(base, level)
 
 
+def reference_entropy(points, weights, part: GridPartition) -> tuple[float, int]:
+    """Entropy with each cell's mass summed in atom order and the cells read
+    out in sorted (ix, iy) order, the summation order ``entropy`` promises."""
+    scale = part.base**part.level
+    masses: dict[tuple[int, int], float] = {}
+    for (x, y), w in zip(points.tolist(), weights.tolist()):
+        if w > 0.0:
+            key = (math.floor(x * scale), math.floor(y * scale))
+            masses[key] = masses.get(key, 0.0) + w
+    cells = np.array([masses[key] for key in sorted(masses)])
+    h = float(-(cells * np.log(cells)).sum()) if len(cells) else 0.0
+    return max(h, 0.0) + 0.0, len(cells)
+
+
+@pytest.mark.parametrize(
+    "base,levels", [(2, (0, 1, 4, 12, 30, 52, 62)), (3, (1, 5, 20, 39)), (7, (2, 22))]
+)
+def test_entropy_summation_order(rng, base, levels):
+    for trial in range(6):
+        n = (1, 7, 300, 2000, 2000, 5000)[trial]
+        # few distinct points, so that cells hold many atoms at every level
+        distinct = rng.random((max(1, n // 50), 2))
+        if trial % 2:
+            distinct[:, 0] = np.floor(distinct[:, 0] * 4) / 4
+        points = distinct[rng.integers(0, len(distinct), n)]
+        weights = rng.random(n) * 10.0 ** rng.integers(-8, 1, n)
+        weights[rng.random(n) < 0.2] = 0.0
+        weights[0] = max(weights[0], 0.5)
+        mu = DiscreteMeasure(points, weights / weights.sum())
+        for level in levels:
+            part = GridPartition(base, level)
+            rep = entropy(mu, part)
+            h, count = reference_entropy(mu.points, mu.weights, part)
+            assert rep.entropy.hex() == h.hex()
+            assert rep.cell_count == count
+
+
 # -- gibbs gap --
 
 
@@ -105,6 +144,62 @@ def test_condition_rescale_zero_mass():
     cell = ApproxSquare(SymbolWord(3, (2,)), SymbolWord(2, (1,)))
     with pytest.raises(ZeroMassCell):
         condition_rescale(mu, cell)
+
+
+def two_column_mask(mu, sq):
+    """``cell_mask`` as it was computed column by column, the reference."""
+    ix = np.floor(mu.points[:, 0].astype(np.longdouble) * sq.x_scale)
+    iy = np.floor(mu.points[:, 1].astype(np.longdouble) * sq.y_scale)
+    return (ix == sq.x_index) & (iy == sq.y_index)
+
+
+def two_column_rescale(mu, sq, mask):
+    """``condition_rescale``'s points as they were computed column by column."""
+    pts = mu.points[mask].astype(np.longdouble)
+    scaled = np.empty_like(pts)
+    scaled[:, 0] = pts[:, 0] * sq.x_scale - sq.x_index
+    scaled[:, 1] = pts[:, 1] * sq.y_scale - sq.y_index
+    out = scaled.astype(np.float64)
+    np.clip(out, 0.0, np.nextafter(1.0, 0.0), out=out)
+    return out
+
+
+def cell_word(coord: float, base: int, depth: int) -> SymbolWord:
+    """The exact depth-``depth`` base-``base`` digits of a double."""
+    index = math.floor(Fraction(coord) * base**depth)
+    digits = []
+    for _ in range(depth):
+        index, d = divmod(index, base)
+        digits.append(d)
+    return SymbolWord(base, tuple(reversed(digits)))
+
+
+# cell scales m**p x n**k below 2**53, between 2**53 and 2**64, and above 2**64
+@pytest.mark.parametrize(
+    "m,n,p,k", [(3, 2, 5, 8), (7, 6, 18, 20), (5, 2, 23, 60), (10, 9, 19, 20), (5, 2, 40, 90)]
+)
+def test_cell_mask_and_rescale_match_two_column_reference(rng, m, n, p, k):
+    hits = 0
+    for _ in range(30):
+        anchor = rng.random(2) * 10.0 ** -rng.integers(0, 4, 2)
+        # the anchor, doubles within 3 ulps of it (the anchor again among
+        # them) and far atoms
+        near = anchor + rng.integers(-3, 4, (40, 2)) * np.spacing(anchor)
+        far = rng.random((20, 2))
+        points = np.clip(np.vstack([anchor[None, :], near, far]), 0.0, 1.0)
+        mu = DiscreteMeasure(points, np.full(len(points), 1.0 / len(points)))
+        sq = ApproxSquare(cell_word(anchor[0], m, p), cell_word(anchor[1], n, k))
+        want = two_column_mask(mu, sq)
+        assert cell_mask(mu, sq).tobytes() == want.tobytes()
+        if not want.any():
+            with pytest.raises(ZeroMassCell):
+                condition_rescale(mu, sq)
+            continue
+        hits += 1
+        out = condition_rescale(mu, sq)
+        assert out.points.tobytes() == two_column_rescale(mu, sq, want).tobytes()
+        assert out.weights.tobytes() == (mu.weights[want] / mu.weights[want].sum()).tobytes()
+    assert hits >= 10
 
 
 # -- finite-scale dimension --

@@ -1,3 +1,5 @@
+import hashlib
+import json
 import math
 from collections import Counter
 
@@ -132,6 +134,21 @@ def test_run_scenery_exhaustion_reported(full_square):
     summary = run_scenery(state, 60, full_square.theta)
     assert summary.exhausted_at is not None
     assert summary.exhausted_at > 4
+
+
+def test_run_scenery_multi_atom_bytes_pinned(full_square):
+    # digest recorded at commit a2737586, before the grid entropy moved to
+    # sort-and-bincount and conditioning to one longdouble product
+    cover = slice_cover(full_square, Line(slope=0.6, intercept=0.2), 6)
+    mu = DiscreteMeasure.uniform_on(cover.centers)
+    state = state_from_cell(full_square, cover.cells[0], mu, 0.3, 40)
+    summary = run_scenery(state, 30, full_square.theta, probe_level=2, stride=1)
+    assert len(mu) == 120
+    assert summary.exhausted_at == 7
+    assert [rec["probe_cells"] for rec in summary.records] == [7, 5, 1, 4, 6, 4, 1]
+    data = json.dumps(summary.records).encode() + summary.phases.tobytes()
+    digest = hashlib.sha256(data).hexdigest()
+    assert digest == "e438779ed0f428a7fe72894a21487ccb1b75c5554078b52333784bc74716da6f"
 
 
 def test_run_scenery_caps_steps(full_square):
