@@ -187,6 +187,8 @@ class BlockTable:
         return np.array([t1.get((a,), 0.0) for a in alphabet])
 
     def entropy(self, b: int) -> float:
+        if b < 1:
+            raise ValueError(f"block length must be >= 1, got {b}")
         if b > self.depth:
             raise BlockTooDeep(f"table depth {self.depth} < requested block {b}")
         probs = np.array([p for p in self.tables[b].values() if p > 0.0])
@@ -199,50 +201,73 @@ class BlockTable:
         return [self.entropy(b) / b for b in range(1, self.depth + 1)]
 
 
-def _window_table(word: SymbolWord, start: int, stop: int, depth: int) -> BlockTable:
-    """Block table of shifts start..stop (inclusive, 0-based first symbol).
+def _window_tables(
+    word: SymbolWord, n_steps: int, split: int, depth: int
+) -> tuple[BlockTable, BlockTable, BlockTable]:
+    """Block tables of shifts [1, split], [split + 1, N] and [1, N], in one pass.
 
-    Each length-b block is counted through an integer code: the rank of its
-    length-(b-1) prefix among the distinct prefixes, times n, plus its last
-    symbol.  Codes stay below width * n, so they are exact int64 for every
-    block length.  The table's keys are the blocks as tuples of the word's
-    symbols, in order of first occurrence, which fixes the summation order
-    of ``BlockTable.entropy``.
+    Each length-b block of [1, N] is counted through an integer code: the
+    rank of its length-(b-1) prefix among the distinct prefixes, times n,
+    plus its last symbol.  Codes stay below N * n, so they are exact int64
+    for every block length.  The two partial windows split [1, N], so per
+    block ``rho``'s count is ``nu``'s plus ``eta``'s: ``nu`` counts the
+    ranks below ``split`` and ``eta`` is the difference.  Each table's keys
+    are the blocks as tuples of the word's symbols, in order of first
+    occurrence within its own window, which fixes the summation order of
+    ``BlockTable.entropy``.  ``nu``'s window is a prefix of ``rho``'s, so
+    its order is ``rho``'s restricted to its blocks; ``eta`` takes its
+    first occurrences from its own ranks.
     """
-    width = stop - start + 1
-    if stop + depth > len(word):
-        raise WordTooShort(f"need {stop + depth} symbols, have {len(word)}")
     symbols = word.symbols
     n = word.alphabet_size
-    arr = np.array(symbols[start : stop + depth], dtype=np.int64)
-    codes = arr[:width]
-    tables: dict[int, dict[tuple[int, ...], float]] = {}
+    arr = np.array(symbols[1 : n_steps + depth], dtype=np.int64)
+    late_at = np.arange(split, n_steps)
+    codes = arr[:n_steps]
+    nu: dict[int, dict[tuple[int, ...], float]] = {}
+    eta: dict[int, dict[tuple[int, ...], float]] = {}
+    rho: dict[int, dict[tuple[int, ...], float]] = {}
+
+    def table(b: int, at: np.ndarray, counts: np.ndarray, width: int) -> dict:
+        return {
+            symbols[1 + i : 1 + i + b]: cnt / width
+            for i, cnt in zip(at.tolist(), counts.tolist())
+        }
+
     for b in range(1, depth + 1):
         if b > 1:
-            codes = ranks * n + arr[b - 1 : b - 1 + width]
+            codes = ranks * n + arr[b - 1 : b - 1 + n_steps]
+        # np.unique sorts stably, so first indices and ranks do not depend on
+        # the dtype; in 8- or 16-bit codes the stable sort is a radix sort
         _, first, ranks, counts = np.unique(
-            codes, return_index=True, return_inverse=True, return_counts=True
+            codes.astype(np.min_scalar_type(codes.max())),
+            return_index=True,
+            return_inverse=True,
+            return_counts=True,
         )
+        early = np.bincount(ranks[:split], minlength=len(counts))
+        late = counts - early
         order = np.argsort(first)
-        tables[b] = {
-            symbols[start + i : start + i + b]: cnt / width
-            for i, cnt in zip(first[order].tolist(), counts[order].tolist())
-        }
-    return BlockTable(depth=depth, tables=tables)
+        rho[b] = table(b, first[order], counts[order], n_steps)
+        order = order[first[order] < split]
+        nu[b] = table(b, first[order], early[order], split)
+        late_first = np.full(len(counts), n_steps)
+        np.minimum.at(late_first, ranks[split:], late_at)
+        order = np.argsort(late_first)[: np.count_nonzero(late)]
+        eta[b] = table(b, late_first[order], late[order], n_steps - split)
+    return tuple(BlockTable(depth=depth, tables=t) for t in (nu, eta, rho))
 
 
-def mix_tables(t1: BlockTable, w1: float, t2: BlockTable, w2: float) -> BlockTable:
-    depth = min(t1.depth, t2.depth)
-    mixed: dict[int, dict[tuple[int, ...], float]] = {}
-    for b in range(1, depth + 1):
-        keys = set(t1.tables[b]) | set(t2.tables[b])
-        mixed[b] = {k: w1 * t1.tables[b].get(k, 0.0) + w2 * t2.tables[b].get(k, 0.0) for k in keys}
-    return BlockTable(depth=depth, tables=mixed)
+def _residual_tv(nu: BlockTable, eta: BlockTable, rho: BlockTable, theta: float, b: int) -> float:
+    """Total variation between ``rho`` and the theta-mix of ``nu`` and ``eta`` on length-b blocks.
 
-
-def tv_distance(t1: BlockTable, t2: BlockTable, b: int) -> float:
-    keys = set(t1.tables[b]) | set(t2.tables[b])
-    return 0.5 * sum(abs(t1.tables[b].get(k, 0.0) - t2.tables[b].get(k, 0.0)) for k in keys)
+    The sum runs in the iteration order of the key sets built here, so
+    these set expressions fix the bits of the result.
+    """
+    t_nu, t_eta, t_rho = nu.tables[b], eta.tables[b], rho.tables[b]
+    keys = set(t_nu) | set(t_eta)
+    mixed = {k: theta * t_nu.get(k, 0.0) + (1.0 - theta) * t_eta.get(k, 0.0) for k in keys}
+    keys = set(t_rho) | set(mixed)
+    return 0.5 * sum(abs(t_rho.get(k, 0.0) - mixed.get(k, 0.0)) for k in keys)
 
 
 @dataclass(frozen=True)
@@ -280,19 +305,20 @@ def empirical_measures_linear(
 ) -> EmpiricalTriple:
     """Window tables over shifts [1, floor(N theta)], the rest, and all of [1, N].
 
+    The two partial windows split [1, N], so the block counts satisfy
+    ``rho = nu + eta``; all three tables come from one count over [1, N].
     Also reports the total-variation residual (on length-``block`` blocks)
     between the full-window table and the theta-weighted mix of the two
     partial windows; it vanishes as N grows, at the speed of the floor error.
     """
+    if block < 1:
+        raise ValueError(f"block must be >= 1, got {block}")
     if len(omega) < n_steps + block:
         raise WordTooShort(f"need {n_steps + block} symbols, have {len(omega)}")
     split = math.floor(n_steps * theta)
     if split < 1 or split >= n_steps:
         raise ValueError(f"N={n_steps} leaves an empty window for theta={theta}")
-    nu = _window_table(omega, 1, split, block)
-    eta = _window_table(omega, split + 1, n_steps, block)
-    rho = _window_table(omega, 1, n_steps, block)
-    mixed = mix_tables(nu, theta, eta, 1.0 - theta)
+    nu, eta, rho = _window_tables(omega, n_steps, split, block)
     return EmpiricalTriple(
         nu=nu,
         eta=eta,
@@ -301,7 +327,7 @@ def empirical_measures_linear(
         index=n_steps,
         window_nu=(1, split),
         window_eta=(split + 1, n_steps),
-        residual_tv=tv_distance(rho, mixed, block),
+        residual_tv=_residual_tv(nu, eta, rho, theta, block),
     )
 
 

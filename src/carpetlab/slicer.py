@@ -345,22 +345,17 @@ def exact_cover_cells(
 ) -> set[tuple[tuple[int, ...], tuple[int, ...]]]:
     """Exact-rational reference cover at one depth.
 
-    Enumerates every carpet-consistent cell of the given depth (no pruning)
-    and keeps those whose closed rectangle the line meets, decided entirely
-    in rational arithmetic.  Independent of the floating-point route: used
-    to certify that the conservative cover is a superset.
+    Walks the carpet-consistent cells level by level and keeps those whose
+    closed rectangle the line meets, decided entirely in rational
+    arithmetic.  Only kept cells are expanded: a child's closed rectangle
+    lies inside its parent's, so a parent the line misses has no child the
+    line meets, and the pruning returns the same set as testing every cell
+    of the given depth.  Independent of the floating-point route: used to
+    certify that the conservative cover is a superset.
     """
-    orbit = RotationOrbit(c.theta, u0)
-    returns = orbit.return_counts(depth + 1)
-    level: list[_Node] = _roots(c, int(returns[0]))
-    for d in range(depth):
-        carry = returns[d + 1] > returns[d]
-        nxt: list[_Node] = []
-        for node in level:
-            nxt.extend(_children(c, node, d, bool(carry)))
-        level = nxt
-    kept: set[_Node] = set()
-    for xw, yw in level:
+
+    def meets(node: _Node) -> bool:
+        xw, yw = node
         xs = Fraction(c.m) ** len(xw)
         ys = Fraction(c.n) ** len(yw)
         x0 = Fraction(digits_to_index(xw, c.m)) / xs
@@ -370,6 +365,12 @@ def exact_cover_cells(
         va = slope * x0 + intercept
         vb = slope * x1 + intercept
         lo, hi = min(va, vb), max(va, vb)
-        if lo <= y1 and hi >= y0:
-            kept.add((xw, yw))
-    return kept
+        return lo <= y1 and hi >= y0
+
+    orbit = RotationOrbit(c.theta, u0)
+    returns = orbit.return_counts(depth + 1)
+    level: list[_Node] = [node for node in _roots(c, int(returns[0])) if meets(node)]
+    for d in range(depth):
+        carry = bool(returns[d + 1] > returns[d])
+        level = [child for node in level for child in _children(c, node, d, carry) if meets(child)]
+    return set(level)

@@ -303,7 +303,13 @@ def test_scenery_empty_slice(example_file, capsys):
 # digests were recorded from the scenery implementation that counted blocks
 # with a Counter over tuple slices and copied the word on every shift, before
 # the numpy block tables and shared-tuple words replaced it; every faster
-# scenery path must reproduce these bytes.
+# scenery path must reproduce these bytes.  The 5x3 case was recorded from
+# the three-window tables (nu, eta and rho each counted on its own), before
+# one count over [1, N] replaced them: with n = 3 and --block 8 the key order
+# of every table reaches the report through h_nu, h_eta and h_rate_curve.
+SPARSE_5X3 = "# 5x3 test carpet\n5 3\n0 0\n2 0\n4 0\n1 1\n3 1\n2 2\n"
+
+
 @pytest.mark.parametrize(
     "argv,exhausted_at,chain_sha,orbit_sha",
     [
@@ -319,13 +325,22 @@ def test_scenery_empty_slice(example_file, capsys):
             "c528d1aaf45e16e52b2841194f6ea1bb8cae0df40d9826ef303ee8778b745f62",
             "87d8868f18d5e7a8b28d4a5fc777fda221cc12d61d39843c6c90b8cb71077407",
         ),
+        (
+            ["--carpet", "sparse_5x3.txt", "--u0", "0.41", "--t", "0.13", "--steps", "3000"]
+            + ["--depths", "4..8", "--block", "8"],
+            9,
+            "26a33e8eba8b9c275c8a687c0b7506640d4c080e6d2bc30cefdb3b958db1c6fc",
+            "62175aa1106a89eb547acb6e6a6b1c0f38584b0cbeb83d2911c3f3b4a81eb64f",
+        ),
     ],
 )
 def test_scenery_bytes_pinned(tmp_path, capsys, argv, exhausted_at, chain_sha, orbit_sha):
     def sha(data: bytes) -> str:
         return hashlib.sha256(data).hexdigest()
 
-    argv = [str(CARPETS / a) if a.endswith(".txt") else a for a in argv]
+    (tmp_path / "sparse_5x3.txt").write_text(SPARSE_5X3)
+    where = {"sparse_5x3.txt": tmp_path}
+    argv = [str(where.get(a, CARPETS) / a) if a.endswith(".txt") else a for a in argv]
     out = tmp_path / "out"
     assert main(["scenery", *argv, "--out", str(out)]) == 6
     captured = capsys.readouterr()

@@ -24,7 +24,7 @@ from carpetlab import (
     state_from_cell,
 )
 from carpetlab.errors import BlockTooDeep, WordTooShort, ZeroMassCell
-from carpetlab.scenery import BlockTable, EmpiricalTriple, _window_table
+from carpetlab.scenery import BlockTable, EmpiricalTriple
 
 
 def full_grid_measure(c, depth):
@@ -238,19 +238,52 @@ def noisy_periodic(rng, n, length, period, flips):
     return tuple(int(s) for s in word)
 
 
+def three_pass_residual(symbols, n_steps, theta, block):
+    """Reference residual: three separate windows, mixed at every level, compared at ``block``."""
+    split = math.floor(n_steps * theta)
+    nu = counter_table(symbols, 1, split, block)
+    eta = counter_table(symbols, split + 1, n_steps, block)
+    rho = counter_table(symbols, 1, n_steps, block)
+    mixed = {}
+    for b in range(1, block + 1):
+        keys = set(nu.tables[b]) | set(eta.tables[b])
+        mixed[b] = {
+            k: theta * nu.tables[b].get(k, 0.0) + (1.0 - theta) * eta.tables[b].get(k, 0.0)
+            for k in keys
+        }
+    keys = set(rho.tables[block]) | set(mixed[block])
+    return 0.5 * sum(abs(rho.tables[block].get(k, 0.0) - mixed[block].get(k, 0.0)) for k in keys)
+
+
+def linear_tables(n, symbols, n_steps, split, depth):
+    """``empirical_measures_linear`` with theta chosen so that floor(N theta) == split."""
+    triple = empirical_measures_linear(
+        SymbolWord(n, symbols), n_steps, (split + 0.5) / n_steps, block=depth
+    )
+    assert triple.window_nu == (1, split)
+    return triple
+
+
+def assert_same_windows(triple, symbols):
+    """Each one-pass table equals its own window's Counter table; the residual is bit-equal."""
+    n_steps, split, depth = triple.index, triple.window_nu[1], triple.rho.depth
+    assert_same_table(triple.nu, counter_table(symbols, 1, split, depth))
+    assert_same_table(triple.eta, counter_table(symbols, split + 1, n_steps, depth))
+    assert_same_table(triple.rho, counter_table(symbols, 1, n_steps, depth))
+    assert triple.residual_tv == three_pass_residual(symbols, n_steps, triple.theta, depth)
+
+
 @pytest.mark.parametrize("n", [2, 3, 5, 11])
 def test_window_table_matches_counter(rng, n):
     for trial in range(12):
         depth = int(rng.integers(1, 9))
-        length = int(rng.integers(1, 500))
+        n_steps = int(rng.integers(2, 500))
         if trial % 2:
-            symbols = noisy_periodic(rng, n, length + depth, int(rng.integers(1, 9)), 5)
+            symbols = noisy_periodic(rng, n, n_steps + depth, int(rng.integers(1, 9)), 5)
         else:
-            symbols = tuple(int(s) for s in rng.integers(0, n, size=length + depth))
-        start = int(rng.integers(0, length))
-        stop = int(rng.integers(start, length))
-        got = _window_table(SymbolWord(n, symbols), start, stop, depth)
-        assert_same_table(got, counter_table(symbols, start, stop, depth))
+            symbols = tuple(int(s) for s in rng.integers(0, n, size=n_steps + depth))
+        split = int(rng.integers(1, n_steps))
+        assert_same_windows(linear_tables(n, symbols, n_steps, split, depth), symbols)
 
 
 @pytest.mark.parametrize("n,depth", [(2, 70), (3, 45), (1000, 30)])
@@ -260,19 +293,32 @@ def test_window_table_exact_past_int64_codes(rng, n, depth):
     cut = max(b for b in range(1, depth) if n**b < 2**63)
     assert cut + 1 < depth
     symbols = noisy_periodic(rng, n, 400 + depth, 23, 12)
-    word = SymbolWord(n, symbols)
-    for start, stop in ((0, 399), (17, 250)):
-        got = _window_table(word, start, stop, depth)
-        assert_same_table(got, counter_table(symbols, start, stop, depth))
-        assert 1 < len(got.tables[cut + 1]) < stop - start + 1
+    for n_steps, split in ((399, 200), (250, 17)):
+        triple = linear_tables(n, symbols, n_steps, split, depth)
+        assert_same_windows(triple, symbols)
+        assert 1 < len(triple.rho.tables[cut + 1]) < n_steps
 
 
 def test_window_table_edges():
-    word = SymbolWord(2, (0, 1, 1, 0, 1))
-    assert _window_table(word, 3, 2, 2).tables == {1: {}, 2: {}}
-    assert_same_table(_window_table(word, 0, 3, 1), counter_table(word.symbols, 0, 3, 1))
+    # the late window (1, 0) meets its blocks in the other order than [1, N]
+    symbols = (0, 0, 1, 1, 0, 0)
+    triple = linear_tables(2, symbols, 4, 2, 2)
+    assert_same_windows(triple, symbols)
+    assert list(triple.rho.tables[1]) == [(0,), (1,)]
+    assert list(triple.eta.tables[1]) == [(1,), (0,)]
+    # the shortest windows: one shift each
+    assert_same_windows(linear_tables(2, symbols, 2, 1, 1), symbols)
     with pytest.raises(WordTooShort):
-        _window_table(word, 1, 3, 3)
+        empirical_measures_linear(SymbolWord(2, symbols), 4, 0.5, block=3)
+
+
+def test_block_below_one_rejected(example):
+    word = SymbolWord(2, (0, 1) * 20)
+    with pytest.raises(ValueError):
+        empirical_measures_linear(word, 30, example.theta, block=0)
+    table = empirical_measures_linear(word, 30, example.theta, block=2).rho
+    with pytest.raises(ValueError):
+        table.entropy(0)
 
 
 # -- bound chains --

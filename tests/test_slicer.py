@@ -1,4 +1,5 @@
 import hashlib
+import itertools
 import math
 from fractions import Fraction
 
@@ -182,6 +183,42 @@ def test_conservative_superset_rational_lines(rng, example, full_square):
             got = {(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells}
             exact = exact_cover_cells(c, Fraction(slope), Fraction(t), depth, line.exponent(c.m))
             assert exact <= got
+
+
+def brute_force_cover(c, slope, intercept, depth, u0):
+    """Every carpet-consistent cell of one depth, each tested in rationals (no pruning).
+
+    A cell pairs a horizontal word of return_count(depth) digits with a
+    vertical word of ``depth`` digits; the digit pairs at shared positions
+    must belong to the carpet.
+    """
+    p = RotationOrbit(c.theta, u0).return_count(depth)
+    xs, ys = Fraction(c.m) ** p, Fraction(c.n) ** depth
+    kept = set()
+    for xw in itertools.product(c.columns, repeat=p):
+        for yw in itertools.product(c.rows, repeat=depth):
+            if any(pair not in c.digits for pair in zip(xw, yw)):
+                continue
+            x0 = sum(a * c.m ** (p - 1 - i) for i, a in enumerate(xw)) / xs
+            y0 = sum(b * c.n ** (depth - 1 - i) for i, b in enumerate(yw)) / ys
+            ends = (slope * x0 + intercept, slope * (x0 + 1 / xs) + intercept)
+            if min(ends) <= y0 + 1 / ys and max(ends) >= y0:
+                kept.add((xw, yw))
+    return kept
+
+
+def test_pruned_oracle_matches_brute_force(rng, example, full_square):
+    product = new_carpet(3, 2, [(0, 0), (0, 1), (2, 0), (2, 1)])
+    for c in (example, full_square, product):
+        for _ in range(4):
+            sign = float(rng.choice([1, -1]))
+            slope = Fraction(float(c.m) ** float(rng.uniform(0.0, 1.0)) * sign)
+            t = Fraction(float(rng.uniform(-0.5, 1.2)))
+            u0 = Line(slope=float(slope), intercept=float(t)).exponent(c.m)
+            for depth in range(6):
+                assert exact_cover_cells(c, slope, t, depth, u0) == brute_force_cover(
+                    c, slope, t, depth, u0
+                )
 
 
 def test_estimate_examples(example):
