@@ -144,23 +144,22 @@ def cmd_analyze(args) -> int:
     return 0
 
 
-def _estimate_payload(c: Carpet, counts: list[tuple[int, int]], drop_head: int) -> dict:
-    """Estimate dict; covers with too little data are reported, not raised.
+def _fit(c: Carpet, counts: list[int], lo: int, hi: int, drop_head: int) -> tuple[list, dict]:
+    """The (k, N_k) series over lo..hi and its fit record.
 
-    An all-empty cover is a valid measurement (slope 0); a nonempty cover
-    with fewer than three usable depths is flagged ``insufficient``.
+    A cover with too little data is reported, not raised: an all-empty cover
+    is a valid measurement (slope 0), and a nonempty cover with fewer than
+    three usable depths is flagged ``insufficient``.
     """
+    series = [(k, counts[k]) for k in range(lo, hi + 1)]
+    fit = {"empty": not any(nk for _, nk in series)}
     try:
-        return estimate_slice_dimension(c, counts, drop_head=drop_head).to_dict()
+        est = estimate_slice_dimension(c, series, drop_head=drop_head)
     except InsufficientData:
-        return {
-            "slope": 0.0,
-            "stderr": 0.0,
-            "depths": [],
-            "bounds": carpet_bounds(c),
-            "empty": not any(nk > 0 for _, nk in counts),
-            "insufficient": True,
-        }
+        fit.update(slope=0.0, stderr=0.0, depths=[], insufficient=True)
+    else:
+        fit.update(slope=est.slope, stderr=est.stderr, depths=est.depths)
+    return series, fit
 
 
 def cmd_slice(args) -> int:
@@ -168,9 +167,9 @@ def cmd_slice(args) -> int:
     lo, hi = args.depths
     line = _build_line(c, args.u0, args.slope, args.t, args.sign, hi + 1)
     cover = slice_cover(c, line, hi, budget=args.budget)
-    counts = [(k, cover.counts[k]) for k in range(lo, hi + 1)]
-    counts_csv = "k,N_k\n" + "".join(f"{k},{nk}\n" for k, nk in counts)
-    payload = _estimate_payload(c, counts, args.drop_head)
+    series, payload = _fit(c, cover.counts, lo, hi, args.drop_head)
+    counts_csv = "k,N_k\n" + "".join(f"{k},{nk}\n" for k, nk in series)
+    payload["bounds"] = carpet_bounds(c)
     payload["u0"] = line.exponent(c.m)
     payload["t"] = line.intercept
     text = _report_json(payload)
@@ -200,21 +199,17 @@ def cmd_sweep(args) -> int:
     lo, hi = args.depths
     params = _sweep_lines(args)
     bounds = carpet_bounds(c)
-    header = "u0,t,slope,stderr,theorem_h,theorem_p,prior,marstrand_h,marstrand_p,error\n"
+    base = ",".join(repr(v) for v in bounds.values())
+    header = "u0,t,slope,stderr," + ",".join(bounds) + ",error\n"
 
     def one(u0: float | None, slope: float | None, t: float) -> str:
-        base = (
-            f"{bounds['theorem_h']!r},{bounds['theorem_p']!r},{bounds['prior']!r},"
-            f"{bounds['marstrand_h']!r},{bounds['marstrand_p']!r}"
-        )
         u0_str = "" if u0 is None else repr(u0)
         try:
             line = _build_line(c, u0, slope, t, args.sign, hi + 1)
             u0_str = repr(line.exponent(c.m))
             cover = slice_cover(c, line, hi, budget=args.budget)
-            counts = [(k, cover.counts[k]) for k in range(lo, hi + 1)]
-            est = _estimate_payload(c, counts, args.drop_head)
-            return f"{u0_str},{t!r},{est['slope']!r},{est['stderr']!r},{base},\n"
+            fit = _fit(c, cover.counts, lo, hi, args.drop_head)[1]
+            return f"{u0_str},{t!r},{fit['slope']!r},{fit['stderr']!r},{base},\n"
         except (CarpetLabError, ValueError) as exc:
             return f"{u0_str},{t!r},,,{base},{type(exc).__name__}\n"
 

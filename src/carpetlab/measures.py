@@ -30,6 +30,8 @@ class DiscreteMeasure:
         if pts.ndim != 2 or pts.shape[1] != 2 or wts.shape != (pts.shape[0],):
             raise ValueError("points must be (N, 2) and weights (N,)")
         if validate:
+            if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+                raise ValueError("non-finite coordinates or weights")
             if np.any(wts < 0.0):
                 raise ValueError("negative weights")
             if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
@@ -179,9 +181,7 @@ def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     if not mask.any():
         raise ZeroMassCell("cell carries no mass")
     wts = mu.weights[mask]
-    total = wts.sum()
-    if total <= 0.0:
-        raise ZeroMassCell("cell carries no mass")
+    total = wts.sum()  # positive: every kept weight exceeds MIN_ATOM_WEIGHT
     out = (scaled[mask] - origin).astype(np.float64)
     np.maximum(out, 0.0, out=out)
     np.minimum(out, BELOW_ONE, out=out)

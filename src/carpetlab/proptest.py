@@ -20,6 +20,9 @@ from . import slicer as sl
 from . import symbolic as sy
 
 EXAMPLE_DIGITS = frozenset({(0, 0), (2, 0), (1, 1)})
+GIBBS_VECTORS_PER_CARPET = 10_000
+MAGNIFY_STARTS = 20
+MAGNIFY_K_MAX = 10
 
 
 def example_carpet() -> cp.Carpet:
@@ -132,12 +135,12 @@ def check_tradeoff_closed_form(rng: np.random.Generator) -> CheckResult:
     return CheckResult("tradeoff_closed_form", True, 1000)
 
 
-def check_gibbs_chains(rng: np.random.Generator, vectors_per_carpet: int = 10_000) -> CheckResult:
+def check_gibbs_chains(rng: np.random.Generator) -> CheckResult:
     tol = 1e-9
     cases = 0
     for c in family_3x2():
         r = len(c.rows)
-        v = random_row_vector(rng, r, vectors_per_carpet)
+        v = random_row_vector(rng, r, GIBBS_VECTORS_PER_CARPET)
         dbp = cp.box_packing_dimension(c)
         dh = cp.hausdorff_dimension(c)
         if np.min(dbp - cp.packing_chain(c, v)) < -tol:
@@ -151,7 +154,7 @@ def check_gibbs_chains(rng: np.random.Generator, vectors_per_carpet: int = 10_00
             return CheckResult("gibbs_chains", False, cases, detail=f"eq packing {sorted(c.digits)}")
         if abs(dh - float(cp.hausdorff_chain(c, eq_h))) > tol:
             return CheckResult("gibbs_chains", False, cases, detail=f"eq hausdorff {sorted(c.digits)}")
-        cases += vectors_per_carpet
+        cases += GIBBS_VECTORS_PER_CARPET
     return CheckResult("gibbs_chains", True, cases)
 
 
@@ -355,24 +358,27 @@ def check_cover_determinism() -> CheckResult:
 # scenery families
 
 
-def check_magnify_identity(rng: np.random.Generator, starts: int = 20, k_max: int = 10) -> CheckResult:
-    for _ in range(starts):
+def check_magnify_identity(rng: np.random.Generator) -> CheckResult:
+    for _ in range(MAGNIFY_STARTS):
         c = random_carpet(rng, m_max=5)
-        state, mu0 = _random_state(rng, c, word_len=k_max + 8)
+        state, mu0 = _random_state(rng, c, word_len=MAGNIFY_K_MAX + 8)
         orbit = sy.RotationOrbit(c.theta, state.u)
         s = state
-        for k in range(1, k_max + 1):
+        for k in range(1, MAGNIFY_K_MAX + 1):
             s = sc.magnify_step(s, c.theta)
             p = orbit.return_count(k - 1)
             sq = sy.ApproxSquare(state.x_word.prefix(p), state.y_word.prefix(k))
             direct = ms.condition_rescale(mu0, sq)
             if len(direct) != len(s.mu):
-                return CheckResult("magnify_identity", False, starts, detail=f"atom count k={k}")
-            if np.max(np.abs(direct.points - s.mu.points)) > 1e-9:
-                return CheckResult("magnify_identity", False, starts, detail=f"atoms k={k}")
-            if np.max(np.abs(direct.weights - s.mu.weights)) > 1e-9:
-                return CheckResult("magnify_identity", False, starts, detail=f"weights k={k}")
-    return CheckResult("magnify_identity", True, starts)
+                detail = "atom count"
+            elif np.max(np.abs(direct.points - s.mu.points)) > 1e-9:
+                detail = "atoms"
+            elif np.max(np.abs(direct.weights - s.mu.weights)) > 1e-9:
+                detail = "weights"
+            else:
+                continue
+            return CheckResult("magnify_identity", False, MAGNIFY_STARTS, detail=f"{detail} k={k}")
+    return CheckResult("magnify_identity", True, MAGNIFY_STARTS)
 
 
 def _random_state(rng: np.random.Generator, c: cp.Carpet, word_len: int):

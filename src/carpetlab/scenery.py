@@ -391,10 +391,13 @@ def bound_chain_report(
     slack_hausdorff = dim_h - hausdorff_form
     slack_mixed = dim_h - mixed
     entropy_gap = h_eta - h_nu
-    assert slack_packing >= -SLACK_TOL, f"packing chain violated: slack {slack_packing}"
-    assert slack_hausdorff >= -SLACK_TOL, f"entropy chain violated: slack {slack_hausdorff}"
-    if entropy_gap <= 0.0:
-        assert slack_mixed >= -SLACK_TOL, f"mixed chain violated: slack {slack_mixed}"
+    # raised, not asserted, so that ``python -O`` keeps the checks
+    if slack_packing < -SLACK_TOL:
+        raise AssertionError(f"packing chain violated: slack {slack_packing}")
+    if slack_hausdorff < -SLACK_TOL:
+        raise AssertionError(f"entropy chain violated: slack {slack_hausdorff}")
+    if entropy_gap <= 0.0 and slack_mixed < -SLACK_TOL:
+        raise AssertionError(f"mixed chain violated: slack {slack_mixed}")
     return BoundChainReport(
         gamma_proxy=gamma_proxy,
         rhs_entropy_rate=rhs,

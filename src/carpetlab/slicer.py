@@ -282,19 +282,10 @@ class SliceEstimate:
     slope: float
     stderr: float
     depths: list[int]
-    bounds: dict[str, float]
-
-    def to_dict(self) -> dict:
-        return {
-            "slope": self.slope,
-            "stderr": self.stderr,
-            "depths": self.depths,
-            "bounds": self.bounds,
-            "empty": False,
-        }
 
 
 def carpet_bounds(c: Carpet) -> dict[str, float]:
+    """The carpet's slice-dimension bounds, in the order of ``sweep``'s columns."""
     rep = dimension_report(c)
     return {
         "theorem_h": rep.slice_bound_h,
@@ -332,7 +323,6 @@ def estimate_slice_dimension(
         slope=max(0.0, float(slope)),
         stderr=stderr,
         depths=[k for k, _ in usable],
-        bounds=carpet_bounds(c),
     )
 
 

@@ -147,6 +147,13 @@ def test_slice_empty_line(example_file, capsys):
     assert payload["empty"] is True
 
 
+def test_slice_bounds_attached(example_file, capsys):
+    assert main(["slice", "--carpet", example_file, "--u0", "0.4", "--t", "0.2"]) == 0
+    bounds = json.loads(capsys.readouterr().out)["bounds"]
+    assert set(bounds) == {"theorem_h", "theorem_p", "prior", "marstrand_h", "marstrand_p"}
+    assert bounds["theorem_h"] <= bounds["theorem_p"] <= bounds["prior"]
+
+
 def test_slice_axis_parallel_exit(example_file, capsys):
     assert main(["slice", "--carpet", example_file, "--slope", "0", "--t", "0.3"]) == 4
     capsys.readouterr()
@@ -194,6 +201,18 @@ def test_sweep_axis_parallel_row_tagged(example_file, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     tags = [row.split(",")[-1] for row in lines[1:]]
     assert tags == ["", "AxisParallelLine", ""]
+
+
+def test_sweep_error_rows_pinned(capsys):
+    # the u0 column holds the raw u0 when the line cannot be built, and the
+    # (possibly nudged) exponent when the walk fails
+    argv = ["sweep", "--carpet", str(CARPETS / "full_3x2.txt"), "--u0s", "0.3,1.5", "--ts", "0.1"]
+    assert main([*argv, "--depths", "4..9", "--budget", "200"]) == 0
+    assert capsys.readouterr().out == (
+        "u0,t,slope,stderr,theorem_h,theorem_p,prior,marstrand_h,marstrand_p,error\n"
+        "0.3,0.1,,,1.0,1.0,1.0,1.0,1.0,CellBudgetExceeded\n"
+        "1.5,0.1,,,1.0,1.0,1.0,1.0,1.0,ValueError\n"
+    )
 
 
 # -- scenery --

@@ -1,4 +1,5 @@
-"""Every name the package exports is used by the program itself."""
+"""Static guards on the package source: every name it exports is used by
+the program itself, and no check in it is an ``assert`` statement."""
 
 import ast
 from pathlib import Path
@@ -32,3 +33,14 @@ def test_exports_reached():
     sources.append(ROOT / "tests" / "test_acceptance.py")
     reached = set().union(*(_references(p) for p in sources))
     assert sorted(exported - reached) == []
+
+
+def test_no_assert_statements():
+    """``python -O`` strips ``assert``; library checks must raise explicitly."""
+    found = [
+        f"{path.name}:{node.lineno}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.Assert)
+    ]
+    assert found == []

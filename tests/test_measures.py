@@ -32,6 +32,18 @@ def grid_measure(base: int, depth: int) -> DiscreteMeasure:
     return DiscreteMeasure.uniform_on(pts)
 
 
+# -- validation --
+
+
+@pytest.mark.parametrize("bad", [math.nan, math.inf, -math.inf])
+def test_measure_rejects_non_finite(bad):
+    # NaN passes both the sign and the range comparisons
+    with pytest.raises(ValueError, match="non-finite"):
+        DiscreteMeasure([[bad, 0.5]], [1.0])
+    with pytest.raises(ValueError, match="non-finite"):
+        DiscreteMeasure([[0.5, 0.5], [0.2, 0.2]], [bad, 0.5])
+
+
 # -- entropy --
 
 

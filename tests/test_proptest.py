@@ -16,11 +16,7 @@ def test_family(name, check):
     assert result.passed, result.detail
 
 
-def test_proptest_seed_invariance_of_hard_checks(rng):
-    import numpy as np
-
+def test_proptest_seed_invariance_of_hard_checks():
     for seed in (3, 17):
-        r = proptest.check_gibbs_chains(np.random.default_rng(seed), vectors_per_carpet=200)
-        assert r.passed
-        r = proptest.check_magnify_identity(np.random.default_rng(seed), starts=3, k_max=8)
-        assert r.passed
+        assert proptest.check_gibbs_chains(np.random.default_rng(seed)).passed
+        assert proptest.check_magnify_identity(np.random.default_rng(seed)).passed

@@ -24,6 +24,7 @@ from carpetlab import (
     state_from_cell,
 )
 from carpetlab.errors import BlockTooDeep, WordTooShort, ZeroMassCell
+from carpetlab import scenery
 from carpetlab.scenery import BlockTable, EmpiricalTriple
 
 
@@ -339,6 +340,29 @@ def test_bound_chain_equality_hausdorff(example):
     assert abs(rep.hausdorff_form - hausdorff_dimension(example)) < 1e-12
     assert abs(rep.hausdorff_form_mixed - hausdorff_dimension(example)) < 1e-12
     assert abs(rep.entropy_gap) < 1e-12
+
+
+@pytest.mark.parametrize(
+    "chain,message",
+    [("packing_chain", "packing chain violated"), ("hausdorff_chain", "entropy chain violated")],
+)
+def test_bound_chain_violation_raises(monkeypatch, example, chain, message):
+    # raised, not asserted, so the check holds under python -O too
+    monkeypatch.setattr(scenery, chain, lambda c, vec: 2.5)  # past any carpet dimension
+    triple = make_triple(example, [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(AssertionError, match=message):
+        bound_chain_report(example, triple, block=1)
+
+
+def test_bound_chain_mixed_violation_needs_no_entropy_gain(monkeypatch, example):
+    # slack_hausdorff 0.5 while slack_mixed = -0.5 - mixed < 0
+    monkeypatch.setattr(scenery, "hausdorff_chain", lambda c, vec: -1.0)
+    monkeypatch.setattr(scenery, "hausdorff_dimension", lambda c: -0.5)
+    flat = make_triple(example, [0.5, 0.5], [0.5, 0.5])
+    with pytest.raises(AssertionError, match="mixed chain violated"):
+        bound_chain_report(example, flat, block=1)
+    rising = make_triple(example, [0.9, 0.1], [0.5, 0.5])
+    assert bound_chain_report(example, rising, block=1).entropy_gap > 0.0
 
 
 def test_bound_chain_point_mass_on_thin_row(example):

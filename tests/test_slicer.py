@@ -240,13 +240,6 @@ def test_estimate_examples(example):
         estimate_slice_dimension(example, counts, drop_head=-2)
 
 
-def test_estimate_bounds_attached(example):
-    counts = [(k, 2**k) for k in range(1, 10)]
-    est = estimate_slice_dimension(example, counts)
-    assert set(est.bounds) == {"theorem_h", "theorem_p", "prior", "marstrand_h", "marstrand_p"}
-    assert est.bounds["theorem_h"] <= est.bounds["theorem_p"] <= est.bounds["prior"]
-
-
 def test_diagonal_regression_slope(full_square):
     line = Line(slope=1.0, intercept=0.0)
     counts = slice_counts(full_square, line, range(4, 13))
