@@ -201,19 +201,50 @@ def cmd_sweep(args) -> int:
     bounds = carpet_bounds(c)
     base = ",".join(repr(v) for v in bounds.values())
     header = "u0,t,slope,stderr," + ",".join(bounds) + ",error\n"
+    rows = [""] * len(params)
 
-    def one(u0: float | None, slope: float | None, t: float) -> str:
-        u0_str = "" if u0 is None else repr(u0)
+    def row(i: int, u0_str: str, fit: str = ",", error: str = ""):
+        rows[i] = f"{u0_str},{params[i][2]!r},{fit},{base},{error}\n"
+
+    def failed(i: int, u0_str: str, exc: Exception):
+        row(i, u0_str, error=type(exc).__name__)
+
+    # lines that share their slope exponent share their carries, so each
+    # group walks the carpet tree once
+    groups: dict[float, list[tuple[int, Line]]] = {}
+    for i, (u0, slope, t) in enumerate(params):
         try:
             line = _build_line(c, u0, slope, t, args.sign, hi + 1)
-            u0_str = repr(line.exponent(c.m))
-            cover = slice_cover(c, line, hi, budget=args.budget)
-            fit = _fit(c, cover.counts, lo, hi, args.drop_head)[1]
-            return f"{u0_str},{t!r},{fit['slope']!r},{fit['stderr']!r},{base},\n"
         except (CarpetLabError, ValueError) as exc:
-            return f"{u0_str},{t!r},,,{base},{type(exc).__name__}\n"
+            failed(i, "" if u0 is None else repr(u0), exc)
+        else:
+            groups.setdefault(line.exponent(c.m), []).append((i, line))
 
-    text = header + "".join([one(*p) for p in params])
+    def walk(u0_str: str, batch: list[tuple[int, Line]]):
+        try:
+            cover = slice_cover(c, [line for _, line in batch], hi, budget=args.budget)
+        except CellBudgetExceeded as exc:
+            if len(batch) == 1:
+                failed(batch[0][0], u0_str, exc)
+            else:  # the budget caps a walk's tested cells: retry each half alone
+                walk(u0_str, batch[: len(batch) // 2])
+                walk(u0_str, batch[len(batch) // 2 :])
+            return
+        except (CarpetLabError, ValueError) as exc:
+            for i, _ in batch:
+                failed(i, u0_str, exc)
+            return
+        for (i, _), counts in zip(batch, cover.line_counts):
+            try:
+                fit = _fit(c, counts, lo, hi, args.drop_head)[1]
+            except (CarpetLabError, ValueError) as exc:
+                failed(i, u0_str, exc)
+            else:
+                row(i, u0_str, f"{fit['slope']!r},{fit['stderr']!r}")
+
+    for exponent, batch in groups.items():
+        walk(repr(exponent), batch)
+    text = header + "".join(rows)
     print(text, end="")
     _emit(args.out, "sweep.csv", text)
     return 0

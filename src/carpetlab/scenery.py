@@ -85,10 +85,14 @@ def state_from_cell(
     reps = -(-count // len(cycle))
     x_fill = tuple(a for a, _ in cycle) * reps
     y_fill = tuple(b for _, b in cycle) * reps
-    y_word = SymbolWord(c.n, tuple(yw) + y_fill[:count])
+    # only the cell's own symbols need a scan: every filler symbol is a
+    # digit of the validated carpet
+    SymbolWord(c.n, tuple(yw))
+    SymbolWord(c.m, tuple(xw))
+    y_word = SymbolWord._of_valid(c.n, tuple(yw) + y_fill[:count])
     state = SceneryState(
         mu=mu,
-        x_word=SymbolWord(c.m, tuple(xw) + x_fill[:count]),
+        x_word=SymbolWord._of_valid(c.m, tuple(xw) + x_fill[:count]),
         y_word=y_word,
         u=u0,
         omega=y_word,

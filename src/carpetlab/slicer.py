@@ -14,7 +14,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable
+from typing import Iterable, Sequence
 
 import numpy as np
 
@@ -91,9 +91,19 @@ def _roots(c: Carpet, p0: int) -> list[_Node]:
     return [((a,), ()) for a in c.columns]
 
 
-def _meets_line(line: Line, x: np.ndarray, x_scale: int, y: np.ndarray, y_scale: int) -> np.ndarray:
+def _meets_line(
+    slope: np.ndarray,
+    intercept: np.ndarray,
+    x: np.ndarray,
+    x_scale: int,
+    y: np.ndarray,
+    y_scale: int,
+) -> np.ndarray:
     """Outward-rounded test of the cells [x, x+1]/x_scale x [y, y+1]/y_scale.
 
+    ``slope`` and ``intercept`` hold each cell's line, element by element;
+    an elementwise float64 product rounds exactly as the scalar one, so a
+    cell's verdict does not depend on which other lines share the array.
     The index/scale quotients are correctly rounded (see ``_walk`` for the
     dtype rule); moving each intermediate value one ulp outward makes the
     bracket safe, so a cell the line meets is never rejected.  Each cell
@@ -116,9 +126,9 @@ def _meets_line(line: Line, x: np.ndarray, x_scale: int, y: np.ndarray, y_scale:
     x1 = up(up(ratio(x + 1, x_scale)))
     y0 = down(down(ratio(y, y_scale)))
     y1 = up(up(ratio(y + 1, y_scale)))
-    at0, at1 = line.slope * x0, line.slope * x1
-    lo = np.minimum(down(down(at0) + line.intercept), down(down(at1) + line.intercept))
-    hi = np.maximum(up(up(at0) + line.intercept), up(up(at1) + line.intercept))
+    at0, at1 = slope * x0, slope * x1
+    lo = np.minimum(down(down(at0) + intercept), down(down(at1) + intercept))
+    hi = np.maximum(up(up(at0) + intercept), up(up(at1) + intercept))
     return (lo <= y1) & (hi >= y0)
 
 
@@ -130,17 +140,21 @@ def _digit(index: np.ndarray, base: int, place: int) -> np.ndarray:
 def _walk(
     c: Carpet,
     returns: list[int],
-    line: Line,
+    lines: list[Line],
     max_depth: int,
     budget: int,
-) -> tuple[list[int], np.ndarray, np.ndarray]:
-    """Level-synchronous pruned traversal of the carpet tree.
+) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Level-synchronous pruned traversal of the carpet tree for lines of one exponent.
 
-    A level's frontier holds the digit indices ``x_index`` (base m, length
-    ``returns[depth]``) and ``y_index`` (base n, length ``depth``) of its
-    kept cells in depth-first preorder.  Returns the kept counts per depth
-    and the index arrays of the kept cells at ``max_depth``.  Every tested
-    cell counts against ``budget``, checked before a level is built.
+    The carries depend only on the slope exponent, so lines that share it
+    share ``returns`` and walk as one frontier.  A level's frontier holds
+    the digit indices ``x_index`` (base m, length ``returns[depth]``) and
+    ``y_index`` (base n, length ``depth``) of its kept cells and the index
+    of the line each cell belongs to, line-major, each line's cells in
+    depth-first preorder.  Returns the kept counts as a (line, depth)
+    table and the index arrays of the kept cells at ``max_depth``.  Every
+    tested cell of every line counts against ``budget``, checked before a
+    level is built, so one line tests exactly the cells it tests alone.
     """
     m, n = c.m, c.n
     # int64 -> float64 division is correctly rounded only while both
@@ -152,21 +166,25 @@ def _walk(
     for a, b in c.digits:
         pairs[b, a] = True
     rows, columns = pairs.any(axis=1), pairs.any(axis=0)
+    slopes = np.array([line.slope for line in lines])
+    intercepts = np.array([line.intercept for line in lines])
 
-    x = np.array(c.columns if returns[0] else [0], dtype=dtype)
+    roots = np.array(c.columns if returns[0] else [0], dtype=dtype)
+    x = np.tile(roots, len(lines))
     y = np.zeros(len(x), dtype=dtype)
+    owner = np.repeat(np.arange(len(lines)), len(roots))
     tested = len(x)
     if tested > budget:
         raise CellBudgetExceeded(f"visited more than {budget} cells")
-    counts = [0] * (max_depth + 1)
+    counts = np.zeros((len(lines), max_depth + 1), dtype=np.int64)
     for depth in range(max_depth + 1):
-        keep = _meets_line(line, x, m ** returns[depth], y, n**depth)
-        x, y = x[keep], y[keep]
-        counts[depth] = len(x)
+        keep = _meets_line(slopes[owner], intercepts[owner], x, m ** returns[depth], y, n**depth)
+        x, y, owner = x[keep], y[keep], owner[keep]
+        counts[:, depth] = np.bincount(owner, minlength=len(lines))
         if depth == max_depth:
             break
         # the coupling cases of _children as a (node, b, a) mask; node-major
-        # nonzero expands the level in depth-first preorder
+        # nonzero expands the level in depth-first preorder, line by line
         p, carry = returns[depth], returns[depth + 1] > returns[depth]
         if p > depth:  # the horizontal word is a position ahead: b pairs with xw[depth]
             b_ok = pairs[:, _digit(x, m, p - 1 - depth)].T
@@ -187,6 +205,7 @@ def _walk(
         node, b, a = np.nonzero(mask)
         y = y[node] * n + b
         x = x[node] * m + a if carry else x[node]
+        owner = owner[node]
     return counts, x, y
 
 
@@ -198,10 +217,14 @@ def _index_to_digits(index: np.ndarray, base: int, length: int) -> list[tuple[in
 
 @dataclass(eq=False)
 class SliceCover:
-    """Per-depth counts of the traversal plus the kept cells at one depth."""
+    """Per-depth counts of the traversal plus the kept cells at one depth.
+
+    A cover of several lines holds the cells of every line, line-major.
+    """
 
     depth: int
-    counts: list[int]  # counts[j] = kept cells at depth j, j = 0..depth
+    counts: list[int]  # counts[j] = kept cells at depth j, j = 0..depth, over all lines
+    line_counts: list[list[int]]  # line_counts[i][j] = kept cells of line i at depth j
     carpet: Carpet
     x_depth: int  # horizontal word length of the kept cells
     x_index: np.ndarray  # kept cells at ``depth``, in depth-first order
@@ -241,21 +264,32 @@ class SliceCover:
 
 def slice_cover(
     c: Carpet,
-    line: Line,
+    line: Line | Sequence[Line],
     depth: int,
     budget: int = DEFAULT_BUDGET,
 ) -> SliceCover:
-    """Cells of depth ``depth`` whose closed rectangle the line may meet."""
+    """Cells of depth ``depth`` whose closed rectangle the line may meet.
+
+    ``line`` may also be a sequence of lines that share one slope exponent:
+    they walk the carpet tree as one frontier, and ``budget`` caps the
+    cells tested over all of them.  Each line's counts and kept cells are
+    those it has alone.
+    """
     if depth > 20:
         raise ValueError("depth capped at 20")
     if depth < 0:
         raise ValueError("depth must be >= 0")
-    orbit = RotationOrbit(c.theta, line.exponent(c.m))
+    lines = [line] if isinstance(line, Line) else list(line)
+    exponents = {ln.exponent(c.m) for ln in lines}
+    if len(exponents) != 1:
+        raise ValueError(f"a batch needs lines of one slope exponent, got {sorted(exponents)}")
+    orbit = RotationOrbit(c.theta, exponents.pop())
     returns = [int(r) for r in orbit.return_counts(depth + 1)]
-    counts, x_index, y_index = _walk(c, returns, line, depth, budget)
+    counts, x_index, y_index = _walk(c, returns, lines, depth, budget)
     return SliceCover(
         depth=depth,
-        counts=counts,
+        counts=counts.sum(axis=0).tolist(),
+        line_counts=counts.tolist(),
         carpet=c,
         x_depth=returns[depth],
         x_index=x_index,

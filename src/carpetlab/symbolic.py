@@ -41,6 +41,19 @@ class SymbolWord:
             raise SymbolOutOfRange(f"symbol {s} outside alphabet of size {alphabet_size}")
         self._set(alphabet_size, symbols, 0, len(symbols))
 
+    @classmethod
+    def _of_valid(cls, alphabet_size: int, symbols: tuple[int, ...]) -> "SymbolWord":
+        """Word of symbols already known to lie in the alphabet.
+
+        For words built from a validated carpet's digits: the length cap is
+        checked, the scan of every symbol is skipped.
+        """
+        if len(symbols) > MAX_WORD_LEN:
+            raise SymbolOutOfRange(f"word longer than {MAX_WORD_LEN}")
+        w = object.__new__(cls)
+        w._set(alphabet_size, symbols, 0, len(symbols))
+        return w
+
     def _set(self, alphabet_size: int, data: tuple[int, ...], start: int, stop: int):
         setattr_ = object.__setattr__
         setattr_(self, "alphabet_size", alphabet_size)

@@ -215,6 +215,59 @@ def test_sweep_error_rows_pinned(capsys):
     )
 
 
+def _rows_from_slices(carpet: str, u0: str, ts: list[str], budget: str, capsys) -> str:
+    """The sweep CSV that one-line ``slice`` runs predict for these lines."""
+    rows, exponent = [], None
+    for t in ts:
+        argv = ["slice", "--carpet", carpet, "--u0", u0, "--t", t, "--depths", "4..9"]
+        code = main([*argv, "--budget", budget])
+        out = capsys.readouterr().out
+        if code == 5:
+            rows.append((t, None))
+            continue
+        assert code == 0
+        payload = json.loads(out)
+        exponent, bounds = payload["u0"], payload["bounds"]
+        rows.append((t, f"{payload['slope']!r},{payload['stderr']!r}"))
+    columns = ["theorem_h", "theorem_p", "prior", "marstrand_h", "marstrand_p"]
+    base = ",".join(repr(bounds[k]) for k in columns)
+    header = "u0,t,slope,stderr," + ",".join(columns) + ",error\n"
+    return header + "".join(
+        f"{exponent!r},{float(t)!r},{fit},{base},\n"
+        if fit is not None
+        else f"{exponent!r},{float(t)!r},,,{base},CellBudgetExceeded\n"
+        for t, fit in rows
+    )
+
+
+@pytest.mark.parametrize(
+    "ts,failing",
+    [
+        # 3563, 3121 and 2667 cells down to depth 9: each fits 4000, the three do not
+        (["0.2", "0.3", "0.4"], []),
+        # the line at t = 0.1 tests 4009 cells alone
+        (["0.2", "0.1", "0.3", "0.4"], ["0.1"]),
+    ],
+)
+def test_sweep_budget_split_matches_slices(ts, failing, capsys, monkeypatch):
+    carpet = str(CARPETS / "full_3x2.txt")
+    expected = _rows_from_slices(carpet, "0.3", ts, "4000", capsys)
+    batches, walk = [], cli.slice_cover
+
+    def recorded(c, lines, *args, **kwargs):
+        batches.append(len(lines))
+        return walk(c, lines, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "slice_cover", recorded)
+    argv = ["sweep", "--carpet", carpet, "--u0s", "0.3", "--ts", ",".join(ts), "--depths", "4..9"]
+    assert main([*argv, "--budget", "4000"]) == 0
+    out = capsys.readouterr().out
+    assert out == expected
+    rows = out.splitlines()[1:]
+    assert [row.split(",")[1] for row in rows if row.endswith("Exceeded")] == failing
+    assert batches[0] == len(ts) and batches.count(1) == len(ts)  # split down to single lines
+
+
 # -- scenery --
 
 

@@ -1,12 +1,14 @@
 import hashlib
 import json
 import math
+import pickle
 from collections import Counter
 
 import numpy as np
 import pytest
 
 from carpetlab import (
+    ApproxSquare,
     DiscreteMeasure,
     GridPartition,
     Line,
@@ -23,7 +25,7 @@ from carpetlab import (
     slice_cover,
     state_from_cell,
 )
-from carpetlab.errors import BlockTooDeep, WordTooShort, ZeroMassCell
+from carpetlab.errors import BlockTooDeep, SymbolOutOfRange, WordTooShort, ZeroMassCell
 from carpetlab import scenery
 from carpetlab.scenery import BlockTable, EmpiricalTriple
 
@@ -167,6 +169,22 @@ def test_state_from_cell_words_are_carpet_consistent(example):
     assert len(state.y_word) == 50
     for a, b in zip(state.x_word.symbols, state.y_word.symbols):
         assert (a, b) in example.digits
+
+
+def test_state_from_cell_words_equal_validated_words(example):
+    # the filler skips the per-symbol scan; the words still equal, hash and
+    # pickle as validated ones, and the cell's own symbols are still checked
+    cover = slice_cover(example, Line.from_exponent(example.m, 0.3, 0.2), 6)
+    mu = DiscreteMeasure.uniform_on(cover.centers)
+    state = state_from_cell(example, cover.cells[0], mu, 0.3, 5000)
+    for word, base in ((state.x_word, example.m), (state.y_word, example.n)):
+        validated = SymbolWord(base, word.symbols)
+        assert word == validated and hash(word) == hash(validated)
+        assert pickle.loads(pickle.dumps(word)) == validated
+    assert state.omega is state.y_word
+    wide = ApproxSquare(SymbolWord(4, (3,)), SymbolWord(2, (0,)))
+    with pytest.raises(SymbolOutOfRange, match="symbol 3 outside alphabet of size 3"):
+        state_from_cell(example, wide, DiscreteMeasure.point_mass(0.9, 0.1), 0.3, 50)
 
 
 # -- window measures --

@@ -99,6 +99,10 @@ def test_budget_counts_every_tested_cell(full_square):
     assert slice_cover(full_square, line, 10, budget=7651).counts[10] > 0
     with pytest.raises(CellBudgetExceeded):
         slice_cover(full_square, line, 10, budget=7650)
+    # a batch's budget caps the cells tested over all of its lines
+    assert slice_cover(full_square, [line, line], 10, budget=2 * 7651).counts[10] > 0
+    with pytest.raises(CellBudgetExceeded):
+        slice_cover(full_square, [line, line], 10, budget=2 * 7651 - 1)
 
 
 @pytest.mark.parametrize("carpet", ["example", "full_square"])
@@ -278,3 +282,57 @@ def test_covers_supersets_across_family(rng):
         got = {(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells}
         exact = exact_cover_cells(c, Fraction(slope), Fraction(0.11), 4, line.exponent(c.m))
         assert exact <= got
+
+
+def assert_batch_matches_lines(c, lines, depth):
+    """A batch's per-line counts and kept cells equal those of each line alone."""
+    batch = slice_cover(c, lines, depth)
+    assert len(batch.line_counts) == len(lines)
+    assert batch.counts == [sum(column) for column in zip(*batch.line_counts)]
+    start = 0
+    for line, counts in zip(lines, batch.line_counts):
+        alone = slice_cover(c, line, depth)
+        assert counts == alone.counts
+        stop = start + alone.count
+        assert batch.cells[start:stop] == alone.cells
+        start = stop
+    assert start == batch.count
+    return batch
+
+
+@pytest.mark.parametrize("carpet", ["example", "full_square"])
+@pytest.mark.parametrize("sign", [1, -1])
+def test_batch_matches_single_lines(request, carpet, sign):
+    c = request.getfixturevalue(carpet)
+    depth = 20 if carpet == "example" else 10
+    # the last line misses the square
+    ts = (-0.4, 0.05, 0.2, 2.0) if sign == 1 else (0.05, 0.5, 1.1, -0.5)
+    lines = [Line.from_exponent(c.m, 0.37, t, sign=sign) for t in ts]
+    batch = assert_batch_matches_lines(c, lines, depth)
+    assert all(counts[depth] > 0 for counts in batch.line_counts[:-1])
+    assert batch.line_counts[-1][depth] == 0
+
+
+def test_batch_matches_single_lines_past_2_53():
+    # the (10, 9) carpet of test_wide_bases_at_depth_20: object index arrays
+    c = new_carpet(10, 9, [(0, 0), (9, 0), (4, 4), (2, 8), (7, 8), (5, 4)])
+    lines = [Line.from_exponent(10, 0.3, t) for t in (-0.39724574549027614, 0.2, -0.1)]
+    batch = assert_batch_matches_lines(c, lines, 20)
+    assert batch.x_index.dtype == object
+    assert batch.line_counts[0][20] == 1548
+
+
+def test_batch_of_literal_slopes_sharing_an_exponent(example):
+    s = 1.7
+    lines = [Line(slope=s, intercept=-0.5), Line(slope=s * example.m, intercept=-0.3)]
+    assert lines[0].exponent(example.m) == lines[1].exponent(example.m)
+    batch = assert_batch_matches_lines(example, lines, 16)
+    assert all(counts[16] > 0 for counts in batch.line_counts)
+
+
+def test_batch_rejects_mixed_exponents(example):
+    lines = [Line.from_exponent(example.m, 0.3, 0.1), Line.from_exponent(example.m, 0.4, 0.1)]
+    with pytest.raises(ValueError, match="one slope exponent"):
+        slice_cover(example, lines, 6)
+    with pytest.raises(ValueError, match="one slope exponent"):
+        slice_cover(example, [], 6)
