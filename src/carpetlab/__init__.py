@@ -25,7 +25,6 @@ from .measures import (
     condition_rescale,
     entropy,
     finite_scale_dimension,
-    gibbs_gap,
 )
 from .scenery import (
     BlockTable,
@@ -37,7 +36,6 @@ from .scenery import (
     empirical_measures_linear,
     magnify_step,
     run_scenery,
-    star_discrepancy,
     state_from_cell,
 )
 from .slicer import (
@@ -50,14 +48,10 @@ from .slicer import (
     slice_cover,
 )
 from .symbolic import (
-    RETURN_CONSTANT,
     ApproxSquare,
     RotationOrbit,
     SymbolWord,
-    approx_square_at,
     carry_shift,
-    coding_interval,
-    cylinder_cover_count,
     shift,
 )
 

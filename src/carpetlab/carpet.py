@@ -170,9 +170,9 @@ def slice_dimension_bound(c: Carpet, which: str = "hausdorff") -> float:
 def optimize_tradeoff(dim_star: float, dim_x: float) -> tuple[float, float]:
     """Maximize min(w * (dim_star - 1), dim_x - w) over weights w in [0, 1].
 
-    Returns ``(w_star, value)``.  The maximal value always equals
-    ``max(0, dim_x / dim_star * (dim_star - 1))``; the function computes the
-    optimum directly and verifies that identity before returning.
+    Returns ``(w_star, value)``.  The maximal value is the closed form
+    ``max(0, dim_x / dim_star * (dim_star - 1))``, reached at
+    ``w = dim_x / dim_star`` when ``dim_star >= 1`` and at ``w = 0`` otherwise.
     """
     if not (0.0 <= dim_x <= dim_star <= 2.0) or dim_star <= 0.0:
         raise DomainError(
@@ -185,9 +185,6 @@ def optimize_tradeoff(dim_star: float, dim_x: float) -> tuple[float, float]:
         # both branches are <= 0 for any positive weight; w = 0 yields 0
         w = 0.0
         value = 0.0
-    closed = max(0.0, dim_x / dim_star * (dim_star - 1.0))
-    if abs(value - closed) > 1e-12:
-        raise DomainError(f"optimizer value {value} disagrees with closed form {closed}")
     return w, value
 
 

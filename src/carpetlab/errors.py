@@ -45,17 +45,9 @@ class WordTooShort(CarpetLabError):
     pass
 
 
-class UnoccupiedRowSymbol(CarpetLabError):
-    pass
-
-
 # -- measures --
 
 class UnnormalizedMeasure(CarpetLabError):
-    pass
-
-
-class SupportMismatch(CarpetLabError):
     pass
 
 

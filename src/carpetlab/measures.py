@@ -4,11 +4,11 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
-from typing import Iterable, Sequence
+from typing import Iterable
 
 import numpy as np
 
-from .errors import InsufficientLevels, SupportMismatch, UnnormalizedMeasure, ZeroMassCell
+from .errors import InsufficientLevels, UnnormalizedMeasure, ZeroMassCell
 from .symbolic import ApproxSquare
 
 MASS_TOL = 1e-12
@@ -130,21 +130,6 @@ def _aggregate(indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
     inverse[order] = np.cumsum(new_cell) - 1
     sums = np.bincount(inverse, weights)
     return sums[sums > 0.0]
-
-
-def gibbs_gap(p: Sequence[float], q: Sequence[float]) -> float:
-    """Cross entropy minus entropy of p relative to q; nonnegative,
-    zero iff the vectors coincide."""
-    pa = np.asarray(p, dtype=np.float64)
-    qa = np.asarray(q, dtype=np.float64)
-    if pa.shape != qa.shape:
-        raise SupportMismatch("probability vectors differ in length")
-    support = pa > 0.0
-    if np.any(support & (qa <= 0.0)):
-        raise SupportMismatch("q vanishes on the support of p")
-    ps = pa[support]
-    qs = qa[support]
-    return float((ps * (np.log(ps) - np.log(qs))).sum())
 
 
 def _locate(mu: DiscreteMeasure, sq: ApproxSquare) -> tuple[np.ndarray, np.ndarray, np.ndarray]:

@@ -161,16 +161,6 @@ def run_scenery(
     return ScenerySummary(records=records, phases=np.array(phases), exhausted_at=exhausted_at)
 
 
-def star_discrepancy(values: np.ndarray) -> float:
-    """Star discrepancy of a sample in [0, 1); small for equidistributed orbits."""
-    xs = np.sort(np.asarray(values, dtype=np.float64))
-    n = len(xs)
-    if n == 0:
-        return 1.0
-    i = np.arange(1, n + 1)
-    return float(np.maximum(i / n - xs, xs - (i - 1) / n).max())
-
-
 # ---------------------------------------------------------------------------
 # window measures over symbol words
 

@@ -40,6 +40,8 @@ class Line:
     def __post_init__(self):
         if self.slope == 0.0 or not math.isfinite(self.slope):
             raise AxisParallelLine(f"slope {self.slope} is not usable")
+        if not math.isfinite(self.intercept):
+            raise ValueError(f"intercept must be finite, got {self.intercept}")
 
     @classmethod
     def from_exponent(

@@ -14,8 +14,7 @@ from fractions import Fraction
 
 import numpy as np
 
-from .carpet import Carpet
-from .errors import EmptyWord, SymbolOutOfRange, UnoccupiedRowSymbol, WordTooShort
+from .errors import EmptyWord, SymbolOutOfRange, WordTooShort
 
 MAX_WORD_LEN = 10**6
 
@@ -136,20 +135,6 @@ def digits_to_index(digits: tuple[int, ...], base: int) -> int:
     return idx
 
 
-def coding_interval(w: SymbolWord) -> tuple[Fraction, Fraction]:
-    """Exact half-open interval of all points whose expansion extends ``w``.
-
-    The expansion is in base ``w.alphabet_size``; returns (lo, hi) with
-    hi - lo = alphabet_size**(-len(w)).
-    """
-    value = Fraction(0)
-    scale = Fraction(1)
-    for s in w.symbols:
-        scale /= w.alphabet_size
-        value += s * scale
-    return value, value + scale
-
-
 # R(k) - floor(theta*k) = floor(theta*k + u0 + theta) - floor(theta*k), and
 # u0 + theta lies in [0, 2), so the difference is always 0, 1 or 2.
 RETURN_CONSTANT = 2
@@ -250,37 +235,3 @@ class ApproxSquare:
     def diameter(self) -> float:
         return math.hypot(1.0 / self.x_scale, 1.0 / self.y_scale)
 
-
-def approx_square_at(
-    x_word: SymbolWord, y_word: SymbolWord, k: int, orbit: RotationOrbit
-) -> ApproxSquare:
-    """Approximate square of depth k around the point addressed by the words.
-
-    Truncates the horizontal word to the orbit's return count at k and the
-    vertical word to length k.
-    """
-    p = orbit.return_count(k)
-    if len(x_word) < p or len(y_word) < k:
-        raise WordTooShort(
-            f"need x length >= {p} and y length >= {k}, have ({len(x_word)}, {len(y_word)})"
-        )
-    return ApproxSquare(x_word.prefix(p), y_word.prefix(k))
-
-
-def cylinder_cover_count(c: Carpet, omega_prefix: SymbolWord, q: int) -> tuple[int, int]:
-    """Bracket for the number of m^-q cells meeting a row-cylinder set.
-
-    The set of x whose digit at position i lies in the row digit set of
-    ``omega_prefix[i]`` meets between prod a(omega_i) and 5 * prod a(omega_i)
-    grid cells at scale m^-q.  Exact integer arithmetic.
-    """
-    if len(omega_prefix) < q:
-        raise WordTooShort(f"prefix of length {len(omega_prefix)} shorter than q={q}")
-    lower = 1
-    for i in range(q):
-        j = omega_prefix[i]
-        a = c.row_count.get(j)
-        if a is None:
-            raise UnoccupiedRowSymbol(f"row {j} has no digits in this carpet")
-        lower *= a
-    return lower, 5 * lower

@@ -159,6 +159,14 @@ def test_slice_axis_parallel_exit(example_file, capsys):
     capsys.readouterr()
 
 
+def test_slice_rejects_non_finite_intercept(example_file, capsys):
+    # a NaN intercept would otherwise print "t": NaN, which is not JSON
+    assert main(["slice", "--carpet", example_file, "--u0", "0.4", "--t", "nan"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "intercept must be finite" in captured.err
+
+
 def test_slice_budget_exit(full_file, capsys):
     code = main(
         ["slice", "--carpet", full_file, "--slope", "1.0", "--depths", "4..12", "--budget", "50"]
@@ -213,6 +221,15 @@ def test_sweep_error_rows_pinned(capsys):
         "0.3,0.1,,,1.0,1.0,1.0,1.0,1.0,CellBudgetExceeded\n"
         "1.5,0.1,,,1.0,1.0,1.0,1.0,1.0,ValueError\n"
     )
+
+
+def test_sweep_non_finite_intercept_row_tagged(example_file, capsys):
+    argv = ["sweep", "--carpet", example_file, "--u0s", "0.4", "--ts", "nan,0.2"]
+    assert main([*argv, "--depths", "4..9"]) == 0
+    rows = capsys.readouterr().out.strip().splitlines()[1:]
+    assert rows[0].startswith("0.4,nan,,,") and rows[0].endswith(",ValueError")
+    fields = rows[1].split(",")
+    assert fields[1] == "0.2" and fields[2] != "" and fields[-1] == ""
 
 
 def _rows_from_slices(carpet: str, u0: str, ts: list[str], budget: str, capsys) -> str:

@@ -11,11 +11,9 @@ from carpetlab import (
     condition_rescale,
     entropy,
     finite_scale_dimension,
-    gibbs_gap,
 )
 from carpetlab.errors import (
     InsufficientLevels,
-    SupportMismatch,
     UnnormalizedMeasure,
     ZeroMassCell,
 )
@@ -114,18 +112,6 @@ def test_entropy_summation_order(rng, base, levels):
             h, count = reference_entropy(mu.points, mu.weights, part)
             assert rep.entropy.hex() == h.hex()
             assert rep.cell_count == count
-
-
-# -- gibbs gap --
-
-
-def test_gibbs_gap_examples():
-    assert gibbs_gap([0.5, 0.5], [0.5, 0.5]) == 0.0
-    assert abs(gibbs_gap([1.0, 0.0], [0.5, 0.5]) - math.log(2)) < 1e-12
-    with pytest.raises(SupportMismatch):
-        gibbs_gap([0.5, 0.5], [1.0, 0.0])
-    with pytest.raises(SupportMismatch):
-        gibbs_gap([0.5, 0.5], [0.3, 0.3, 0.4])
 
 
 # -- conditioning --

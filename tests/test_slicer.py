@@ -45,6 +45,9 @@ def diagonal_cell_walk(c, depth: int) -> int:
 def test_line_validation():
     with pytest.raises(AxisParallelLine):
         Line(slope=0.0, intercept=0.3)
+    for t in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="intercept must be finite"):
+            Line(slope=1.5, intercept=t)
     line = Line.from_exponent(3, 0.0, 0.0)
     assert line.slope == 1.0
     neg = Line.from_exponent(3, 0.5, 0.2, sign=-1)

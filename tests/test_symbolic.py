@@ -6,23 +6,14 @@ import numpy as np
 import pytest
 
 from carpetlab import (
-    RETURN_CONSTANT,
     ApproxSquare,
     RotationOrbit,
     SymbolWord,
-    approx_square_at,
     carry_shift,
-    coding_interval,
-    cylinder_cover_count,
-    new_carpet,
     shift,
 )
-from carpetlab.errors import (
-    EmptyWord,
-    SymbolOutOfRange,
-    UnoccupiedRowSymbol,
-    WordTooShort,
-)
+from carpetlab.errors import EmptyWord, SymbolOutOfRange, WordTooShort
+from carpetlab.symbolic import RETURN_CONSTANT
 
 THETA = math.log(2) / math.log(3)
 
@@ -150,16 +141,6 @@ def test_carry_shift_examples():
     assert carry_shift(w, 0.9, 0.63).symbols == (1, 1)
 
 
-# -- coding intervals --
-
-
-def test_coding_interval_examples():
-    assert coding_interval(SymbolWord(2, (1,))) == (Fraction(1, 2), Fraction(1))
-    assert coding_interval(SymbolWord(2, (0, 1))) == (Fraction(1, 4), Fraction(1, 2))
-    lo, hi = coding_interval(SymbolWord(3, (2, 0, 1)))
-    assert (lo, hi) == (Fraction(19, 27), Fraction(20, 27))
-
-
 # -- approximate squares --
 
 
@@ -167,15 +148,15 @@ def test_approx_square_example():
     orbit = RotationOrbit(THETA, 0.0)
     xw = SymbolWord(3, (0, 1, 2, 0, 1, 2, 0))
     yw = SymbolWord(2, (0, 1) * 6)
-    sq = approx_square_at(xw, yw, 10, orbit)
+    p = orbit.return_count(10)
+    sq = ApproxSquare(xw.prefix(p), yw.prefix(10))
     assert sq.x_depth == 6 and sq.depth == 10
-    with pytest.raises(WordTooShort):
-        approx_square_at(SymbolWord(3, (0,)), yw, 10, orbit)
 
 
 def test_approx_square_depth_zero():
     orbit = RotationOrbit(THETA, 0.0)  # no carry at index 0
-    sq = approx_square_at(SymbolWord(3, ()), SymbolWord(2, ()), 0, orbit)
+    p = orbit.return_count(0)
+    sq = ApproxSquare(SymbolWord(3, ()).prefix(p), SymbolWord(2, ()).prefix(0))
     assert (sq.x_index, sq.x_scale, sq.y_index, sq.y_scale) == (0, 1, 0, 1)
 
 
@@ -193,22 +174,3 @@ def test_approx_square_diameter_bracket(rng):
         )
         ratio = sq.diameter() * 2**k
         assert 1.0 / geo <= ratio <= geo
-
-
-# -- cylinder covers --
-
-
-def test_cylinder_cover_examples(example, full_square):
-    lower, upper = cylinder_cover_count(example, SymbolWord(2, (0, 1, 0, 1)), 4)
-    assert (lower, upper) == (4, 20)
-    thin = new_carpet(3, 2, [(0, 0), (1, 1)])
-    lower, upper = cylinder_cover_count(thin, SymbolWord(2, (0, 1, 0, 1, 1)), 5)
-    assert lower == 1
-    lower, _ = cylinder_cover_count(full_square, SymbolWord(2, (1, 0, 1)), 3)
-    assert lower == 27
-    with pytest.raises(WordTooShort):
-        cylinder_cover_count(example, SymbolWord(2, (0,)), 3)
-    missing_row = new_carpet(3, 2, [(0, 0)])
-    with pytest.raises(UnoccupiedRowSymbol):
-        cylinder_cover_count(missing_row, SymbolWord(2, (1,)), 1)
-
