@@ -38,6 +38,7 @@ from .slicer import (
     DEFAULT_BUDGET,
     Line,
     carpet_bounds,
+    carries,
     estimate_slice_dimension,
     slice_cover,
 )
@@ -202,48 +203,52 @@ def cmd_sweep(args) -> int:
     base = ",".join(repr(v) for v in bounds.values())
     header = "u0,t,slope,stderr," + ",".join(bounds) + ",error\n"
     rows = [""] * len(params)
+    # the u0 column: the raw u0 until a line is built, then its exponent
+    u0_column = ["" if u0 is None else repr(u0) for u0, _, _ in params]
 
-    def row(i: int, u0_str: str, fit: str = ",", error: str = ""):
-        rows[i] = f"{u0_str},{params[i][2]!r},{fit},{base},{error}\n"
+    def row(i: int, fit: str = ",", error: str = ""):
+        rows[i] = f"{u0_column[i]},{params[i][2]!r},{fit},{base},{error}\n"
 
-    def failed(i: int, u0_str: str, exc: Exception):
-        row(i, u0_str, error=type(exc).__name__)
+    def failed(i: int, exc: Exception):
+        row(i, error=type(exc).__name__)
 
-    # lines that share their slope exponent share their carries, so each
-    # group walks the carpet tree once
-    groups: dict[float, list[tuple[int, Line]]] = {}
+    # a walk reads a line's slope exponent only through its carries, so
+    # lines that share their carries walk the carpet tree once
+    groups: dict[tuple[int, ...], list[tuple[int, Line]]] = {}
     for i, (u0, slope, t) in enumerate(params):
         try:
             line = _build_line(c, u0, slope, t, args.sign, hi + 1)
         except (CarpetLabError, ValueError) as exc:
-            failed(i, "" if u0 is None else repr(u0), exc)
+            failed(i, exc)
         else:
-            groups.setdefault(line.exponent(c.m), []).append((i, line))
+            exponent = line.exponent(c.m)
+            u0_column[i] = repr(exponent)
+            groups.setdefault(carries(c, exponent, hi), []).append((i, line))
 
-    def walk(u0_str: str, batch: list[tuple[int, Line]]):
+    def walk(batch: list[tuple[int, Line]]):
         try:
             cover = slice_cover(c, [line for _, line in batch], hi, budget=args.budget)
         except CellBudgetExceeded as exc:
             if len(batch) == 1:
-                failed(batch[0][0], u0_str, exc)
+                failed(batch[0][0], exc)
             else:  # the budget caps a walk's tested cells: retry each half alone
-                walk(u0_str, batch[: len(batch) // 2])
-                walk(u0_str, batch[len(batch) // 2 :])
+                walk(batch[: len(batch) // 2])
+                walk(batch[len(batch) // 2 :])
             return
         except (CarpetLabError, ValueError) as exc:
             for i, _ in batch:
-                failed(i, u0_str, exc)
+                failed(i, exc)
             return
         for (i, _), counts in zip(batch, cover.line_counts):
             try:
                 fit = _fit(c, counts, lo, hi, args.drop_head)[1]
             except (CarpetLabError, ValueError) as exc:
-                failed(i, u0_str, exc)
+                failed(i, exc)
             else:
-                row(i, u0_str, f"{fit['slope']!r},{fit['stderr']!r}")
+                row(i, f"{fit['slope']!r},{fit['stderr']!r}")
 
-    for exponent, batch in groups.items():
-        walk(repr(exponent), batch)
+    for batch in groups.values():
+        walk(batch)
     text = header + "".join(rows)
     print(text, end="")
     _emit(args.out, "sweep.csv", text)

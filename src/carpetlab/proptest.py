@@ -105,17 +105,6 @@ def check_transpose_normal_form(rng: np.random.Generator) -> CheckResult:
     return CheckResult("transpose_normal_form", True, len(carpets))
 
 
-def check_tradeoff_closed_form(rng: np.random.Generator) -> CheckResult:
-    for _ in range(1000):
-        ds = rng.uniform(1e-6, 2.0)
-        dx = rng.uniform(0.0, ds)
-        _, value = cp.optimize_tradeoff(ds, dx)
-        closed = max(0.0, dx / ds * (ds - 1.0))
-        if abs(value - closed) > 1e-9:
-            return CheckResult("tradeoff_closed_form", False, 1000, detail=f"({ds},{dx})")
-    return CheckResult("tradeoff_closed_form", True, 1000)
-
-
 def check_gibbs_chains(rng: np.random.Generator) -> CheckResult:
     tol = 1e-9
     cases = 0
@@ -281,15 +270,6 @@ def check_slice_nesting(rng: np.random.Generator) -> CheckResult:
     return CheckResult("slice_nesting", True, 6)
 
 
-def check_cover_determinism() -> CheckResult:
-    c = example_carpet()
-    line = sl.Line.from_exponent(c.m, 0.47, 0.05)
-    a = sl.slice_cover(c, line, 8)
-    b = sl.slice_cover(c, line, 8)
-    same = a.counts == b.counts and [s.center() for s in a.cells] == [s.center() for s in b.cells]
-    return CheckResult("cover_determinism", same, 1)
-
-
 # ---------------------------------------------------------------------------
 # scenery families
 
@@ -409,7 +389,6 @@ def check_bound_chain(rng: np.random.Generator) -> CheckResult:
 ALL_CHECKS = [
     ("bound_ordering", check_bound_ordering),
     ("transpose_normal_form", check_transpose_normal_form),
-    ("tradeoff_closed_form", check_tradeoff_closed_form),
     ("gibbs_chains", check_gibbs_chains),
     ("carry_shift_composition", check_carry_shift_composition),
     ("approx_square_diameter", check_approx_square_diameter),
@@ -418,7 +397,6 @@ ALL_CHECKS = [
     ("condition_rescale_mass", check_condition_rescale_mass),
     ("slice_conservative", check_slice_conservative),
     ("slice_nesting", check_slice_nesting),
-    ("cover_determinism", lambda rng: check_cover_determinism()),
     ("magnify_identity", check_magnify_identity),
     ("tv_residual_trend", check_tv_residual_trend),
     ("phase_equidistribution", lambda rng: check_phase_equidistribution()),

@@ -38,7 +38,9 @@ class Line:
     u0: float | None = None
 
     def __post_init__(self):
-        if self.slope == 0.0 or not math.isfinite(self.slope):
+        if not math.isfinite(self.slope):
+            raise ValueError(f"slope must be finite, got {self.slope}")
+        if self.slope == 0.0:
             raise AxisParallelLine(f"slope {self.slope} is not usable")
         if not math.isfinite(self.intercept):
             raise ValueError(f"intercept must be finite, got {self.intercept}")
@@ -115,22 +117,24 @@ def _meets_line(
     by rounding.  It can go once undecided cells are re-tested exactly.
     """
 
-    def down(v):
-        return np.nextafter(v, -np.inf)
-
-    def up(v):
-        return np.nextafter(v, np.inf)
+    def outward(v, toward, plus=None):
+        """``v`` moved an ulp toward ``toward``, plus ``plus``, an ulp more; in place (memory)."""
+        np.nextafter(v, toward, out=v)
+        if plus is not None:
+            np.add(v, plus, out=v)
+        return np.nextafter(v, toward, out=v)
 
     def ratio(index, scale):
         return np.asarray(index / scale, dtype=np.float64)
 
-    x0 = down(down(ratio(x, x_scale)))
-    x1 = up(up(ratio(x + 1, x_scale)))
-    y0 = down(down(ratio(y, y_scale)))
-    y1 = up(up(ratio(y + 1, y_scale)))
-    at0, at1 = slope * x0, slope * x1
-    lo = np.minimum(down(down(at0) + intercept), down(down(at1) + intercept))
-    hi = np.maximum(up(up(at0) + intercept), up(up(at1) + intercept))
+    x0 = outward(ratio(x, x_scale), -np.inf)
+    x1 = outward(ratio(x + 1, x_scale), np.inf)
+    y0 = outward(ratio(y, y_scale), -np.inf)
+    y1 = outward(ratio(y + 1, y_scale), np.inf)
+    at0, at1 = np.multiply(slope, x0, out=x0), np.multiply(slope, x1, out=x1)
+    lo = outward(at0.copy(), -np.inf, intercept)
+    lo = np.minimum(lo, outward(at1.copy(), -np.inf, intercept), out=lo)
+    hi = np.maximum(outward(at0, np.inf, intercept), outward(at1, np.inf, intercept), out=at0)
     return (lo <= y1) & (hi >= y0)
 
 
@@ -141,22 +145,23 @@ def _digit(index: np.ndarray, base: int, place: int) -> np.ndarray:
 
 def _walk(
     c: Carpet,
-    returns: list[int],
+    returns: Sequence[int],
     lines: list[Line],
     max_depth: int,
     budget: int,
 ) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level-synchronous pruned traversal of the carpet tree for lines of one exponent.
+    """Level-synchronous pruned traversal of the carpet tree for lines of one carry sequence.
 
-    The carries depend only on the slope exponent, so lines that share it
-    share ``returns`` and walk as one frontier.  A level's frontier holds
-    the digit indices ``x_index`` (base m, length ``returns[depth]``) and
-    ``y_index`` (base n, length ``depth``) of its kept cells and the index
-    of the line each cell belongs to, line-major, each line's cells in
-    depth-first preorder.  Returns the kept counts as a (line, depth)
-    table and the index arrays of the kept cells at ``max_depth``.  Every
-    tested cell of every line counts against ``budget``, checked before a
-    level is built, so one line tests exactly the cells it tests alone.
+    A line's slope exponent reaches the walk only through ``returns``, so
+    lines that share their carries walk as one frontier, whatever their
+    exponents.  A level's frontier holds the digit indices ``x_index``
+    (base m, length ``returns[depth]``) and ``y_index`` (base n, length
+    ``depth``) of its kept cells and the index of the line each cell
+    belongs to, line-major, each line's cells in depth-first preorder.
+    Returns the kept counts as a (line, depth) table and the index arrays
+    of the kept cells at ``max_depth``.  Every tested cell of every line
+    counts against ``budget``, checked before a level is built, so one
+    line tests exactly the cells it tests alone.
     """
     m, n = c.m, c.n
     # int64 -> float64 division is correctly rounded only while both
@@ -208,6 +213,7 @@ def _walk(
         y = y[node] * n + b
         x = x[node] * m + a if carry else x[node]
         owner = owner[node]
+        del mask, node, b, a  # freed before the next level's test, the walk's memory peak
     return counts, x, y
 
 
@@ -264,6 +270,15 @@ class SliceCover:
         return np.column_stack((x, y)).astype(np.float64)
 
 
+def carries(c: Carpet, exponent: float, depth: int) -> tuple[int, ...]:
+    """Return counts R(0..depth+1) of the rotation orbit of ``exponent``.
+
+    A walk to ``depth`` reads a line's slope exponent only through them,
+    so lines with equal carries can share one walk.
+    """
+    return tuple(int(r) for r in RotationOrbit(c.theta, exponent).return_counts(depth + 1))
+
+
 def slice_cover(
     c: Carpet,
     line: Line | Sequence[Line],
@@ -272,21 +287,20 @@ def slice_cover(
 ) -> SliceCover:
     """Cells of depth ``depth`` whose closed rectangle the line may meet.
 
-    ``line`` may also be a sequence of lines that share one slope exponent:
-    they walk the carpet tree as one frontier, and ``budget`` caps the
-    cells tested over all of them.  Each line's counts and kept cells are
-    those it has alone.
+    ``line`` may also be a sequence of lines that share one carry sequence
+    (see ``carries``), whatever their exponents: they walk the carpet tree
+    as one frontier, and ``budget`` caps the cells tested over all of them.
+    Each line's counts and kept cells are those it has alone.
     """
     if depth > 20:
         raise ValueError("depth capped at 20")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     lines = [line] if isinstance(line, Line) else list(line)
-    exponents = {ln.exponent(c.m) for ln in lines}
-    if len(exponents) != 1:
-        raise ValueError(f"a batch needs lines of one slope exponent, got {sorted(exponents)}")
-    orbit = RotationOrbit(c.theta, exponents.pop())
-    returns = [int(r) for r in orbit.return_counts(depth + 1)]
+    keys = {carries(c, e, depth) for e in {ln.exponent(c.m) for ln in lines}}
+    if len(keys) != 1:
+        raise ValueError(f"a batch needs lines of one carry sequence, got {len(keys)}")
+    returns = keys.pop()
     counts, x_index, y_index = _walk(c, returns, lines, depth, budget)
     return SliceCover(
         depth=depth,

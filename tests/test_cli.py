@@ -167,6 +167,14 @@ def test_slice_rejects_non_finite_intercept(example_file, capsys):
     assert "intercept must be finite" in captured.err
 
 
+def test_slice_rejects_non_finite_slope(example_file, capsys):
+    # a NaN slope is no line at all: a parameter error, not an axis-parallel one
+    assert main(["slice", "--carpet", example_file, "--slope", "nan"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "slope must be finite" in captured.err
+
+
 def test_slice_budget_exit(full_file, capsys):
     code = main(
         ["slice", "--carpet", full_file, "--slope", "1.0", "--depths", "4..12", "--budget", "50"]
@@ -232,29 +240,36 @@ def test_sweep_non_finite_intercept_row_tagged(example_file, capsys):
     assert fields[1] == "0.2" and fields[2] != "" and fields[-1] == ""
 
 
-def _rows_from_slices(carpet: str, u0: str, ts: list[str], budget: str, capsys) -> str:
-    """The sweep CSV that one-line ``slice`` runs predict for these lines."""
-    rows, exponent = [], None
-    for t in ts:
-        argv = ["slice", "--carpet", carpet, "--u0", u0, "--t", t, "--depths", "4..9"]
-        code = main([*argv, "--budget", budget])
-        out = capsys.readouterr().out
-        if code == 5:
-            rows.append((t, None))
-            continue
-        assert code == 0
-        payload = json.loads(out)
-        exponent, bounds = payload["u0"], payload["bounds"]
-        rows.append((t, f"{payload['slope']!r},{payload['stderr']!r}"))
+def _rows_from_slices(
+    carpet: str, lines: list[list[str]], capsys, budget: str | None = None
+) -> str:
+    """The sweep CSV that one-line ``slice`` runs predict for lines given by their flags."""
     columns = ["theorem_h", "theorem_p", "prior", "marstrand_h", "marstrand_p"]
-    base = ",".join(repr(bounds[k]) for k in columns)
-    header = "u0,t,slope,stderr," + ",".join(columns) + ",error\n"
-    return header + "".join(
-        f"{exponent!r},{float(t)!r},{fit},{base},\n"
-        if fit is not None
-        else f"{exponent!r},{float(t)!r},,,{base},CellBudgetExceeded\n"
-        for t, fit in rows
-    )
+    rows = []
+    for flags in lines:
+        argv = ["slice", "--carpet", carpet, *flags, "--depths", "4..9"]
+        code = 0 if budget is None else main([*argv, "--budget", budget])
+        capsys.readouterr()
+        assert code in (0, 5)
+        assert main(argv) == 0  # the line's exponent and, within the budget, its fit
+        payload = json.loads(capsys.readouterr().out)
+        base = ",".join(repr(payload["bounds"][k]) for k in columns)
+        fit = f"{payload['slope']!r},{payload['stderr']!r}," if code == 0 else ",,"
+        error = "" if code == 0 else "CellBudgetExceeded"
+        rows.append(f"{payload['u0']!r},{payload['t']!r},{fit}{base},{error}\n")
+    return "u0,t,slope,stderr," + ",".join(columns) + ",error\n" + "".join(rows)
+
+
+def _record_walks(monkeypatch) -> list[int]:
+    """The batch size of every ``slice_cover`` call that ``cli`` makes from now on."""
+    batches, walk = [], cli.slice_cover
+
+    def recorded(c, lines, *args, **kwargs):
+        batches.append(len(lines))
+        return walk(c, lines, *args, **kwargs)
+
+    monkeypatch.setattr(cli, "slice_cover", recorded)
+    return batches
 
 
 @pytest.mark.parametrize(
@@ -268,14 +283,8 @@ def _rows_from_slices(carpet: str, u0: str, ts: list[str], budget: str, capsys) 
 )
 def test_sweep_budget_split_matches_slices(ts, failing, capsys, monkeypatch):
     carpet = str(CARPETS / "full_3x2.txt")
-    expected = _rows_from_slices(carpet, "0.3", ts, "4000", capsys)
-    batches, walk = [], cli.slice_cover
-
-    def recorded(c, lines, *args, **kwargs):
-        batches.append(len(lines))
-        return walk(c, lines, *args, **kwargs)
-
-    monkeypatch.setattr(cli, "slice_cover", recorded)
+    expected = _rows_from_slices(carpet, [["--u0", "0.3", "--t", t] for t in ts], capsys, "4000")
+    batches = _record_walks(monkeypatch)
     argv = ["sweep", "--carpet", carpet, "--u0s", "0.3", "--ts", ",".join(ts), "--depths", "4..9"]
     assert main([*argv, "--budget", "4000"]) == 0
     out = capsys.readouterr().out
@@ -283,6 +292,20 @@ def test_sweep_budget_split_matches_slices(ts, failing, capsys, monkeypatch):
     rows = out.splitlines()[1:]
     assert [row.split(",")[1] for row in rows if row.endswith("Exceeded")] == failing
     assert batches[0] == len(ts) and batches.count(1) == len(ts)  # split down to single lines
+
+
+def test_sweep_lines_sharing_carries_walk_once(capsys, monkeypatch):
+    # 6 = 2 * 3 and 18 = 2 * 9 get exponents ulps apart, but the same carries
+    carpet = str(CARPETS / "example.txt")
+    slopes = ["2", "6", "18"]
+    expected = _rows_from_slices(carpet, [["--slope", s, "--t", "0.1"] for s in slopes], capsys)
+    batches = _record_walks(monkeypatch)
+    argv = ["sweep", "--carpet", carpet, "--slopes", ",".join(slopes), "--ts", "0.1"]
+    assert main([*argv, "--depths", "4..9"]) == 0
+    out = capsys.readouterr().out
+    assert out == expected
+    assert len({row.split(",")[0] for row in out.splitlines()[1:]}) == 3
+    assert batches == [3]
 
 
 # -- scenery --
@@ -457,6 +480,10 @@ SHALLOW_JSON = "8e6f6454c9bc0c9d5fe51b1fcc209d4a84be039d7042c4604a8c025571b5434c
 SHALLOW_CSV = "a87b45f8cc76a470c08cf7db6b68038cd7122cc5ddd498ae4456069533209105"
 EMPTY_CHAIN = "e249667255bb7fd740656181e9d328c69a0dc780d8b483bfd57a25d904f2a787"
 EMPTY_FILE = hashlib.sha256(b"").hexdigest()
+# sweeps whose lines share their carries across different exponent floats,
+# recorded while each exponent float still walked alone
+SLOPES_SWEEP_CSV = "d866f02671b3744d1b9a87d525c499720bc1f35fc9ae1442bc7a112a34c309a1"
+DEEP_SWEEP_CSV = "1e27dadcd461c403d3899450e5a1c5da39f573d421e1357c3e766bbbc79d337e"
 
 
 @pytest.mark.parametrize(
@@ -498,6 +525,16 @@ EMPTY_FILE = hashlib.sha256(b"").hexdigest()
             EMPTY_CHAIN,
             {"chain.json": EMPTY_CHAIN, "orbit.jsonl": EMPTY_FILE},
         ),
+        (
+            ["sweep", "--carpet", "example.txt", "--slopes=2,6,18", "--ts=0.1", "--depths=4..9"],
+            SLOPES_SWEEP_CSV,
+            {"sweep.csv": SLOPES_SWEEP_CSV},
+        ),
+        (
+            ["sweep", "--carpet", "example.txt", "--grid", "60x2", "--depths", "4..20"],
+            DEEP_SWEEP_CSV,
+            {"sweep.csv": DEEP_SWEEP_CSV},
+        ),
     ],
     ids=[
         "analyze-json",
@@ -508,6 +545,8 @@ EMPTY_FILE = hashlib.sha256(b"").hexdigest()
         "slice-empty",
         "slice-shallow",
         "scenery-empty",
+        "sweep-slopes",
+        "sweep-deep",
     ],
 )
 def test_cli_bytes_pinned(tmp_path, capsys, argv, stdout_sha, files):

@@ -12,7 +12,6 @@ from carpetlab import proptest
 SEED_0 = {
     "bound_ordering": (1063, ""),
     "transpose_normal_form": (163, ""),
-    "tradeoff_closed_form": (1000, ""),
     "gibbs_chains": (630000, ""),
     "carry_shift_composition": (20, ""),
     "approx_square_diameter": (50, ""),
@@ -21,7 +20,6 @@ SEED_0 = {
     "condition_rescale_mass": (1000, ""),
     "slice_conservative": (10, ""),
     "slice_nesting": (6, ""),
-    "cover_determinism": (1, ""),
     "magnify_identity": (20, ""),
     "tv_residual_trend": (20, ""),
     "phase_equidistribution": (10000, "discrepancy=0.00061"),

@@ -19,6 +19,7 @@ from carpetlab import (
 )
 from carpetlab.errors import AxisParallelLine, CellBudgetExceeded, InsufficientData
 from carpetlab.proptest import family_3x2
+from carpetlab.slicer import carries
 
 
 def diagonal_cell_walk(c, depth: int) -> int:
@@ -45,6 +46,9 @@ def diagonal_cell_walk(c, depth: int) -> int:
 def test_line_validation():
     with pytest.raises(AxisParallelLine):
         Line(slope=0.0, intercept=0.3)
+    for s in (math.nan, math.inf, -math.inf):
+        with pytest.raises(ValueError, match="slope must be finite"):
+            Line(slope=s, intercept=0.3)
     for t in (math.nan, math.inf, -math.inf):
         with pytest.raises(ValueError, match="intercept must be finite"):
             Line(slope=1.5, intercept=t)
@@ -333,9 +337,20 @@ def test_batch_of_literal_slopes_sharing_an_exponent(example):
     assert all(counts[16] > 0 for counts in batch.line_counts)
 
 
-def test_batch_rejects_mixed_exponents(example):
+def test_batch_of_literal_slopes_sharing_carries(example):
+    # 6 = 2 * 3 and 18 = 2 * 9: one exponent in exact arithmetic, but the
+    # floats land ulps apart; their carries agree, so they share a walk
+    lines = [Line(slope=s, intercept=0.1) for s in (2.0, 6.0, 18.0)]
+    exponents = [line.exponent(example.m) for line in lines]
+    assert len(set(exponents)) == 3
+    assert len({carries(example, e, 9) for e in exponents}) == 1
+    assert_batch_matches_lines(example, lines, 9)
+
+
+def test_batch_rejects_mixed_carries(example):
     lines = [Line.from_exponent(example.m, 0.3, 0.1), Line.from_exponent(example.m, 0.4, 0.1)]
-    with pytest.raises(ValueError, match="one slope exponent"):
+    assert carries(example, 0.3, 6) != carries(example, 0.4, 6)
+    with pytest.raises(ValueError, match="one carry sequence"):
         slice_cover(example, lines, 6)
-    with pytest.raises(ValueError, match="one slope exponent"):
+    with pytest.raises(ValueError, match="one carry sequence"):
         slice_cover(example, [], 6)
