@@ -45,7 +45,7 @@ def parse_carpet(text: str) -> Carpet:
 def load_carpet(path: str | Path) -> Carpet:
     try:
         text = Path(path).read_text()
-    except OSError as exc:
+    except (OSError, UnicodeDecodeError) as exc:
         raise CarpetFileError(f"cannot read {path}: {exc}") from exc
     return parse_carpet(text)
 

@@ -125,6 +125,8 @@ def run_scenery(
     """
     if steps > MAX_STEPS:
         raise ValueError(f"steps capped at {MAX_STEPS}")
+    if stride < 1:
+        raise ValueError(f"stride must be >= 1, got {stride}")
     part = GridPartition(initial.y_word.alphabet_size, probe_level)
     records: list[dict] = []
     phases = [initial.u]

@@ -23,6 +23,7 @@ from .errors import AxisParallelLine, CellBudgetExceeded, InsufficientData
 from .symbolic import ApproxSquare, RotationOrbit, SymbolWord, digits_to_index
 
 DEFAULT_BUDGET = 10**8
+MAX_DEPTH = 20
 
 
 @dataclass(frozen=True)
@@ -271,12 +272,12 @@ class SliceCover:
 
 
 def carries(c: Carpet, exponent: float, depth: int) -> tuple[int, ...]:
-    """Return counts R(0..depth+1) of the rotation orbit of ``exponent``.
+    """Return counts R(0..depth) of the rotation orbit of ``exponent``.
 
     A walk to ``depth`` reads a line's slope exponent only through them,
     so lines with equal carries can share one walk.
     """
-    return tuple(int(r) for r in RotationOrbit(c.theta, exponent).return_counts(depth + 1))
+    return tuple(int(r) for r in RotationOrbit(c.theta, exponent).return_counts(depth))
 
 
 def slice_cover(
@@ -292,8 +293,8 @@ def slice_cover(
     as one frontier, and ``budget`` caps the cells tested over all of them.
     Each line's counts and kept cells are those it has alone.
     """
-    if depth > 20:
-        raise ValueError("depth capped at 20")
+    if depth > MAX_DEPTH:
+        raise ValueError(f"depth capped at {MAX_DEPTH}")
     if depth < 0:
         raise ValueError("depth must be >= 0")
     lines = [line] if isinstance(line, Line) else list(line)
@@ -408,7 +409,7 @@ def exact_cover_cells(
         return lo <= y1 and hi >= y0
 
     orbit = RotationOrbit(c.theta, u0)
-    returns = orbit.return_counts(depth + 1)
+    returns = orbit.return_counts(depth)
     level: list[_Node] = [node for node in _roots(c, int(returns[0])) if meets(node)]
     for d in range(depth):
         carry = bool(returns[d + 1] > returns[d])

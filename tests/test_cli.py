@@ -1,6 +1,9 @@
 import argparse
 import hashlib
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import numpy as np
@@ -107,6 +110,23 @@ def test_analyze_exit_codes(tmp_path, capsys):
     assert main(["analyze", "--carpet", str(invalid)]) == 3
     assert main(["analyze", "--carpet", str(tmp_path / "missing.txt")]) == 2
     capsys.readouterr()
+
+
+def test_undecodable_carpet_file(tmp_path, capsys):
+    bad = tmp_path / "bytes.txt"
+    bad.write_bytes(b"3 2\n0 0\xff\n")
+    assert main(["analyze", "--carpet", str(bad)]) == 2
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err.startswith("carpet file error: ") and "decode" in captured.err
+
+
+def test_cli_import_skips_test_harness():
+    code = "import sys, carpetlab.cli; print('carpetlab.proptest' in sys.modules)"
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True, env=env)
+    assert result.returncode == 0, result.stderr
+    assert result.stdout == "False\n"
 
 
 # -- slice --
@@ -306,6 +326,18 @@ def test_sweep_lines_sharing_carries_walk_once(capsys, monkeypatch):
     assert out == expected
     assert len({row.split(",")[0] for row in out.splitlines()[1:]}) == 3
     assert batches == [3]
+
+
+def test_sweep_batches_on_the_carries_the_walk_reads(capsys, monkeypatch):
+    # on example, u0 = 0.01 and 0.06 share R(0..9) and differ at R(10)
+    carpet = str(CARPETS / "example.txt")
+    u0s = ["0.01", "0.06"]
+    expected = _rows_from_slices(carpet, [["--u0", u, "--t", "0.1"] for u in u0s], capsys)
+    batches = _record_walks(monkeypatch)
+    argv = ["sweep", "--carpet", carpet, "--u0s", ",".join(u0s), "--ts", "0.1"]
+    assert main([*argv, "--depths", "4..9"]) == 0
+    assert capsys.readouterr().out == expected
+    assert batches == [2]
 
 
 # -- scenery --
@@ -586,6 +618,23 @@ def test_cli_options_pinned():
 
 
 # -- parameter validation --
+
+
+@pytest.mark.parametrize("depths", ["4..21", "4..100000000"])
+@pytest.mark.parametrize(
+    "argv",
+    [["slice", "--u0", "0.4"], ["sweep", "--grid", "3x2"], ["scenery", "--slope", "1.5"]],
+)
+def test_over_cap_depth_refused_before_any_work(example_file, capsys, monkeypatch, argv, depths):
+    def no_load(*args, **kwargs):
+        raise AssertionError("carpet loaded")
+
+    monkeypatch.setattr(cli, "load_carpet", no_load)
+    command, *line = argv
+    assert main([command, "--carpet", example_file, *line, f"--depths={depths}"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parameter error: depth capped at 20\n"
 
 
 def test_slice_rejects_negative_depth(example_file, capsys):

@@ -161,6 +161,14 @@ def test_run_scenery_caps_steps(full_square):
         run_scenery(state, 10**5 + 1, full_square.theta)
 
 
+@pytest.mark.parametrize("stride", [0, -1])
+def test_run_scenery_refuses_stride_below_one(full_square, stride):
+    mu = DiscreteMeasure.point_mass(0.0, 0.0)
+    state = carpet_point_state(full_square, mu, [(0, 0)] * 4, u0=0.0)
+    with pytest.raises(ValueError, match="stride must be >= 1"):
+        run_scenery(state, 2, full_square.theta, stride=stride)
+
+
 def test_state_from_cell_words_are_carpet_consistent(example):
     line = Line.from_exponent(example.m, 0.3, 0.2)
     cover = slice_cover(example, line, 6)

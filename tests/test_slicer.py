@@ -99,6 +99,11 @@ def test_depth_out_of_range(full_square, depth):
         slice_cover(full_square, Line(slope=1.0, intercept=0.0), depth)
 
 
+@pytest.mark.parametrize("depth", [0, 1, 9, 20])
+def test_carries_are_the_counts_a_walk_reads(example, depth):
+    assert len(carries(example, 0.3, depth)) == depth + 1
+
+
 def test_budget_counts_every_tested_cell(full_square):
     # 7651 cells are tested (kept or not) down to depth 10: the smallest
     # budget that passes, found by bisection on the depth-first walk
