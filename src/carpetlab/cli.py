@@ -182,16 +182,16 @@ def cmd_slice(args) -> int:
 
 def _sweep_lines(args) -> list[tuple[float | None, float | None, float]]:
     """Line specs as (u0, slope, t) with exactly one of u0 and slope set."""
-    ts = [float(v) for v in args.ts.split(",")] if args.ts else [0.0]
-    if args.grid:
+    ts = [float(v) for v in args.ts.split(",")] if args.ts is not None else [0.0]
+    if args.grid is not None:
         nu, nt = args.grid
         u0s = [(i + 0.5) / nu for i in range(nu)]
         ts = [(j + 0.5) / nt for j in range(nt)]
         return [(u0, None, t) for u0 in u0s for t in ts]
-    if args.slopes:
+    if args.slopes is not None:
         slopes = [float(v) for v in args.slopes.split(",")]
         return [(None, s, t) for s in slopes for t in ts]
-    u0s = [float(v) for v in args.u0s.split(",")] if args.u0s else [0.5]
+    u0s = [float(v) for v in args.u0s.split(",")] if args.u0s is not None else [0.5]
     return [(u0, None, t) for u0 in u0s for t in ts]
 
 

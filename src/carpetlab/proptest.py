@@ -250,8 +250,8 @@ def check_slice_conservative(rng: np.random.Generator) -> CheckResult:
         cover = sl.slice_cover(c, line, depth)
         got = {(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells}
         exact = sl.exact_cover_cells(c, slope_f, Fraction(t), depth, line.exponent(c.m))
-        if not exact <= got:
-            return CheckResult("slice_conservative", False, lines, detail=f"missing {exact - got}")
+        if got != exact:
+            return CheckResult("slice_conservative", False, lines, detail=f"differs on {exact ^ got}")
     return CheckResult("slice_conservative", True, lines)
 
 

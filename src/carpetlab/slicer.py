@@ -1,11 +1,9 @@
-"""Conservative covers of a line slice through a carpet by near-square cells.
+"""Covers of a line slice through a carpet by near-square cells.
 
 The enumeration walks the tree of digit-addressed cells that are consistent
-with the carpet's digit set, keeping a cell exactly when the line may meet
-it.  The line-versus-rectangle test rounds every intermediate value
-outward, so the kept set is a guaranteed superset of the truly intersecting
-cells: false positives only loosen a count, false negatives would corrupt
-it.
+with the carpet's digit set, keeping a cell exactly when the line meets its
+closed rectangle: a float64 test with a proven error bound decides nearly
+every cell, and integer arithmetic decides the rest.
 """
 
 from __future__ import annotations
@@ -57,7 +55,8 @@ class Line:
     def exponent(self, m: int) -> float:
         if self.u0 is not None:
             return self.u0
-        return math.log(abs(self.slope)) / math.log(m) % 1.0
+        e = math.log(abs(self.slope)) / math.log(m) % 1.0
+        return e if e < 1.0 else 0.0  # % rounds a tiny negative quotient up to 1.0
 
 
 _Node = tuple[tuple[int, ...], tuple[int, ...]]  # (x digits, y digits)
@@ -96,47 +95,48 @@ def _roots(c: Carpet, p0: int) -> list[_Node]:
     return [((a,), ()) for a in c.columns]
 
 
-def _meets_line(
-    slope: np.ndarray,
-    intercept: np.ndarray,
-    x: np.ndarray,
-    x_scale: int,
-    y: np.ndarray,
-    y_scale: int,
-) -> np.ndarray:
-    """Outward-rounded test of the cells [x, x+1]/x_scale x [y, y+1]/y_scale.
+def _cell_meets_line(q: int, rise: int, height: int) -> bool:
+    """Exact closed-cell test: [min(q, q + rise), max(q, q + rise)] meets [0, height].
 
-    ``slope`` and ``intercept`` hold each cell's line, element by element;
-    an elementwise float64 product rounds exactly as the scalar one, so a
-    cell's verdict does not depend on which other lines share the array.
-    The index/scale quotients are correctly rounded (see ``_walk`` for the
-    dtype rule); moving each intermediate value one ulp outward makes the
-    bracket safe, so a cell the line meets is never rejected.  Each cell
-    side gets a second ulp as well.  Soundness does not need it: it is a
-    margin kept so that reports stay byte-identical, because deep counts
-    (those pinned by ``test_wide_bases_at_depth_20``, for example) are set
-    by rounding.  It can go once undecided cells are re-tested exactly.
+    For the cell [x, x+1]/X x [y, y+1]/Y and the line y = (S·x + T)/D, all
+    scaled by D·X·Y: q = Y·(S·x + T·X) - y·X·D, rise = Y·S, height = X·D.
     """
+    return min(q, q + rise) <= height and max(q, q + rise) >= 0
 
-    def outward(v, toward, plus=None):
-        """``v`` moved an ulp toward ``toward``, plus ``plus``, an ulp more; in place (memory)."""
-        np.nextafter(v, toward, out=v)
-        if plus is not None:
-            np.add(v, plus, out=v)
-        return np.nextafter(v, toward, out=v)
 
-    def ratio(index, scale):
-        return np.asarray(index / scale, dtype=np.float64)
+def _meets_line(
+    slope: np.ndarray, intercept: np.ndarray, x: np.ndarray, x_scale: int, y: np.ndarray, y_scale: int
+) -> np.ndarray:
+    """Exact test of the closed cells [x, x+1]/x_scale x [y, y+1]/y_scale.
 
-    x0 = outward(ratio(x, x_scale), -np.inf)
-    x1 = outward(ratio(x + 1, x_scale), np.inf)
-    y0 = outward(ratio(y, y_scale), -np.inf)
-    y1 = outward(ratio(y + 1, y_scale), np.inf)
-    at0, at1 = np.multiply(slope, x0, out=x0), np.multiply(slope, x1, out=x1)
-    lo = outward(at0.copy(), -np.inf, intercept)
-    lo = np.minimum(lo, outward(at1.copy(), -np.inf, intercept), out=lo)
-    hi = np.maximum(outward(at0, np.inf, intercept), outward(at1, np.inf, intercept), out=at0)
-    return (lo <= y1) & (hi >= y0)
+    ``slope`` and ``intercept`` hold each cell's line, element by element.  A
+    line meets a cell iff the gaps y1 - lo and hi - y0 are >= 0, lo and hi
+    being its values at the cell's x ends; float64 decides every gap outside
+    the line's margin, and ``_cell_meets_line`` the others.
+    """
+    at0 = (x / x_scale).astype(np.float64, copy=False)
+    at1 = ((x + 1) / x_scale).astype(np.float64, copy=False)
+    np.add(np.multiply(slope, at0, out=at0), intercept, out=at0)
+    np.add(np.multiply(slope, at1, out=at1), intercept, out=at1)
+    lo = np.minimum(at0, at1)
+    hi = np.maximum(at0, at1, out=at0)
+    del at1  # this test's float arrays set the walk's memory peak: hold few at once
+    np.subtract(((y + 1) / y_scale).astype(np.float64, copy=False), lo, out=lo)
+    np.subtract(hi, (y / y_scale).astype(np.float64, copy=False), out=hi)
+    gap = np.minimum(lo, hi, out=lo)
+    keep = gap >= 0
+    # With u = 2**-53: a quotient index/scale lies in [0, 1] and is correctly
+    # rounded (the dtype rule of _walk), so it is off by <= u; a line value,
+    # one rounded product and sum, by <= u(3|s| + |t|) + O(u**2); and a gap,
+    # one more quotient and rounded difference, by <= 4u(|s| + |t| + 1) +
+    # O(u**2).  The margin is twice that, which covers its own rounding.
+    margin = (np.abs(slope) + np.abs(intercept) + 1.0) * 2.0**-50
+    for i in np.flatnonzero(np.abs(gap, out=gap) <= margin):
+        (s, ds), (t, dt) = slope[i].as_integer_ratio(), intercept[i].as_integer_ratio()
+        s, t, d = s * dt, t * ds, ds * dt  # over one denominator d
+        q = y_scale * (s * int(x[i]) + t * x_scale) - int(y[i]) * x_scale * d
+        keep[i] = _cell_meets_line(q, y_scale * s, x_scale * d)
+    return keep
 
 
 def _digit(index: np.ndarray, base: int, place: int) -> np.ndarray:
@@ -286,7 +286,7 @@ def slice_cover(
     depth: int,
     budget: int = DEFAULT_BUDGET,
 ) -> SliceCover:
-    """Cells of depth ``depth`` whose closed rectangle the line may meet.
+    """Cells of depth ``depth`` whose closed rectangle the line meets.
 
     ``line`` may also be a sequence of lines that share one carry sequence
     (see ``carries``), whatever their exponents: they walk the carpet tree
@@ -391,8 +391,8 @@ def exact_cover_cells(
     arithmetic.  Only kept cells are expanded: a child's closed rectangle
     lies inside its parent's, so a parent the line misses has no child the
     line meets, and the pruning returns the same set as testing every cell
-    of the given depth.  Independent of the floating-point route: used to
-    certify that the conservative cover is a superset.
+    of the given depth.  Independent of the walk's float and integer tests:
+    the tests check that ``slice_cover`` keeps exactly this set.
     """
 
     def meets(node: _Node) -> bool:

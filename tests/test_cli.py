@@ -260,6 +260,27 @@ def test_sweep_non_finite_intercept_row_tagged(example_file, capsys):
     assert fields[1] == "0.2" and fields[2] != "" and fields[-1] == ""
 
 
+@pytest.mark.parametrize("flag", ["--slopes=", "--u0s=", "--ts="])
+def test_sweep_rejects_empty_list(example_file, capsys, flag):
+    # an empty list is a list with one empty value, not an absent flag
+    assert main(["sweep", "--carpet", example_file, flag, "--depths", "4..8"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "parameter error: could not convert string to float: ''\n"
+
+
+def test_slope_whose_exponent_rounds_to_one(tmp_path, capsys):
+    # log_8 of the slope is a tiny negative number, which % 1.0 rounds up to 1.0
+    path = tmp_path / "wide.txt"
+    path.write_text("8 2\n0 0\n3 1\n7 0\n")
+    slope = "0.9999999999999999"
+    assert main(["slice", "--carpet", str(path), "--slope", slope, "--depths", "4..8"]) == 0
+    capsys.readouterr()
+    assert main(["sweep", "--carpet", str(path), "--slopes", slope, "--depths", "4..8"]) == 0
+    row = capsys.readouterr().out.splitlines()[1]
+    assert row.endswith(",") and row.split(",")[2] != ""
+
+
 def _rows_from_slices(
     carpet: str, lines: list[list[str]], capsys, budget: str | None = None
 ) -> str:

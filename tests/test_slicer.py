@@ -20,6 +20,7 @@ from carpetlab import (
 from carpetlab.errors import AxisParallelLine, CellBudgetExceeded, InsufficientData
 from carpetlab.proptest import family_3x2
 from carpetlab.slicer import carries
+from carpetlab.symbolic import digits_to_index
 
 
 def diagonal_cell_walk(c, depth: int) -> int:
@@ -58,6 +59,17 @@ def test_line_validation():
     assert neg.slope < 0
     literal = Line(slope=2.5, intercept=0.0)
     assert abs(literal.exponent(3) - math.log(2.5) / math.log(3)) < 1e-12
+
+
+@pytest.mark.parametrize("m", [8, 10])
+@pytest.mark.parametrize("slope", [0.9999999999999999, -0.9999999999999999])
+def test_exponent_stays_below_one(m, slope):
+    # log |slope| / log m is a tiny negative number, which % 1.0 rounds up
+    # to 1.0; 0.0 is the same point of the circle
+    assert math.log(abs(slope)) / math.log(m) % 1.0 == 1.0
+    exponent = Line(slope=slope, intercept=0.0).exponent(m)
+    assert exponent == 0.0
+    Line.from_exponent(m, exponent)
 
 
 def test_full_square_diagonal_counts(full_square):
@@ -134,26 +146,29 @@ def test_cells_in_depth_first_order(request, carpet):
     assert cover.cells == sorted(cover.cells, key=dfs_key)
 
 
-# Counts and a sha256 of repr([(x word, y word), ...]) recorded from the
-# depth-first walk that computed every cell test with Python ints and floats
+# Counts and a sha256 of repr([(x word, y word), ...]) recorded from
+# exact_cover_cells: len(exact_cover_cells(c, Fraction(slope), Fraction(t),
+# k, 0.3)) for k = 0..20, and the depth-20 set in the walk's depth-first order
 @pytest.mark.parametrize(
     "m,n,digits,intercept,counts,digest",
     [
-        (  # 10**20 and 9**20 exceed 2**63
+        pytest.param(  # 10**20 and 9**20 exceed 2**63
             10,
             9,
             [(0, 0), (9, 0), (4, 4), (2, 8), (7, 8), (5, 4)],
             -0.39724574549027614,
-            [4, 5, 8, 14, 22, 54, 14, 15, 7, 4, 2, 2, 1, 1, 1, 2, 3, 8, 43, 258, 1548],
-            "1ba2f61448f4df97e2ab8164b928faa3814aec2b6d57055d797b03c06483d1f8",
+            [4, 5, 8, 14, 22, 54, 14, 15, 7, 4, 2, 2, 1, 1, 1, 1, 1, 2, 1, 1, 1],
+            "e45f4a75ed1f257c0b33a20a3132d9b664d626214e04ef23ca18b34bcefb9082",
+            id="10x9",
         ),
-        (  # 7**19 exceeds 2**53
+        pytest.param(  # 7**19 exceeds 2**53
             7,
             6,
             [(0, 0), (6, 0), (3, 2), (1, 5), (5, 5), (2, 2)],
             -0.48538027731792094,
-            [4, 8, 20, 6, 6, 12, 14, 18, 18, 18, 20, 21, 26, 25, 23, 24, 21, 26, 31, 43, 125],
-            "e90d598c58168e3d4dc63a01a7575d5cd92d16924fd390d71bc9eb12b154d56b",
+            [4, 8, 20, 6, 6, 12, 14, 18, 18, 18, 20, 21, 26, 25, 23, 24, 21, 26, 29, 29, 30],
+            "1e84e2c0089731e722182b61b663cc69a47b437c74940c5b96657ce5078c48eb",
+            id="7x6",
         ),
     ],
 )
@@ -185,7 +200,7 @@ def test_centers_and_cell_match_cells(m, n, digits, intercept, depth):
         assert cover.cell(i) == cover.cells[i]
 
 
-def test_conservative_superset_rational_lines(rng, example, full_square):
+def test_cover_equals_exact_rational_lines(rng, example, full_square):
     # the slice_conservative proptest family covers positive slopes on the
     # example carpet; this adds negative slopes and the product carpet
     product = new_carpet(3, 2, [(0, 0), (0, 1), (2, 0), (2, 1)])
@@ -198,7 +213,38 @@ def test_conservative_superset_rational_lines(rng, example, full_square):
             cover = slice_cover(c, line, depth)
             got = {(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells}
             exact = exact_cover_cells(c, Fraction(slope), Fraction(t), depth, line.exponent(c.m))
-            assert exact <= got
+            assert got == exact
+
+
+def corner_lines(c, sign: int, depth: int, corners: int, rng):
+    """Lines through a corner of a random depth-``depth`` carpet cell, and 1 ulp above and below.
+
+    The intercept is t0 = float(y/Y - s·x/X) for the corner (x/X, y/Y) and
+    the slope s, then both float neighbours of t0: the closed-cell test is
+    decided at the rounding limit.
+    """
+    pairs = sorted(c.digits)
+    for _ in range(corners):
+        s = sign * float(c.m) ** float(rng.uniform(0.0, 1.0))
+        p = RotationOrbit(c.theta, Line(slope=s, intercept=0.0).exponent(c.m)).return_count(depth)
+        word = [pairs[i] for i in rng.integers(0, len(pairs), size=max(p, depth))]
+        x = digits_to_index([a for a, _ in word[:p]], c.m) + int(rng.integers(0, 2))
+        y = digits_to_index([b for _, b in word[:depth]], c.n) + int(rng.integers(0, 2))
+        t0 = float(Fraction(y, c.n**depth) - Fraction(s) * Fraction(x, c.m**p))
+        for t in (math.nextafter(t0, -math.inf), t0, math.nextafter(t0, math.inf)):
+            yield Line(slope=s, intercept=t)
+
+
+def test_cover_exact_near_cell_corners(rng, example, full_square):
+    product = new_carpet(3, 2, [(0, 0), (0, 1), (2, 0), (2, 1)])
+    depth = 5
+    for c in (example, full_square, product):
+        for sign in (1, -1):
+            for line in corner_lines(c, sign, depth, 10, rng):
+                cover = slice_cover(c, line, depth)
+                got = {(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells}
+                slope, t = Fraction(line.slope), Fraction(line.intercept)
+                assert got == exact_cover_cells(c, slope, t, depth, line.exponent(c.m))
 
 
 def brute_force_cover(c, slope, intercept, depth, u0):
@@ -285,15 +331,15 @@ def test_cover_measure_dimension_matches_regression(full_square):
     assert abs(fs - est.slope) < 0.05
 
 
-def test_covers_supersets_across_family(rng):
-    # spot conservativeness over the exhaustive small-carpet family
+def test_covers_equal_exact_across_family(rng):
+    # spot exactness over the exhaustive small-carpet family
     for c in family_3x2()[::7]:
         slope = float(c.m) ** 0.43
         line = Line(slope=slope, intercept=0.11)
         cover = slice_cover(c, line, 4)
         got = {(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells}
         exact = exact_cover_cells(c, Fraction(slope), Fraction(0.11), 4, line.exponent(c.m))
-        assert exact <= got
+        assert got == exact
 
 
 def assert_batch_matches_lines(c, lines, depth):
@@ -331,7 +377,7 @@ def test_batch_matches_single_lines_past_2_53():
     lines = [Line.from_exponent(10, 0.3, t) for t in (-0.39724574549027614, 0.2, -0.1)]
     batch = assert_batch_matches_lines(c, lines, 20)
     assert batch.x_index.dtype == object
-    assert batch.line_counts[0][20] == 1548
+    assert batch.line_counts[0][20] == 1  # the exact count of test_wide_bases_at_depth_20
 
 
 def test_batch_of_literal_slopes_sharing_an_exponent(example):
