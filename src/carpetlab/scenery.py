@@ -197,31 +197,71 @@ class BlockTable:
         return [self.entropy(b) / b for b in range(1, self.depth + 1)]
 
 
+# a counting rank's flag table may hold this many entries per shift; past that
+# (a wide alphabet) a sort ranks, so memory stays bounded
+_COUNT_TABLE_PER_SHIFT = 4
+
+
+def _dense_ranks(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
+    """Rank of each code in [0, size) among the distinct codes, and those codes, ascending.
+
+    Counting and sorting give the same ranks; the input size picks one.
+    """
+    if size <= _COUNT_TABLE_PER_SHIFT * len(codes):
+        seen = np.bincount(codes, minlength=size) > 0
+        return np.cumsum(seen)[codes] - 1, np.flatnonzero(seen)
+    # in 8- or 16-bit codes the sort is a radix sort
+    present, ranks = np.unique(codes.astype(np.min_scalar_type(size - 1)), return_inverse=True)
+    return ranks, present
+
+
+def _least(ranks: np.ndarray, at: np.ndarray, size: int, none: int) -> np.ndarray:
+    """Least ``at`` of each rank in [0, size), or ``none`` where the rank does not occur."""
+    least = np.full(size, none)
+    np.minimum.at(least, ranks, at)
+    return least
+
+
 def _window_tables(
     word: SymbolWord, n_steps: int, split: int, depth: int
 ) -> tuple[BlockTable, BlockTable, BlockTable]:
     """Block tables of shifts [1, split], [split + 1, N] and [1, N], in one pass.
 
-    Each length-b block of [1, N] is counted through an integer code: the
-    rank of its length-(b-1) prefix among the distinct prefixes, times n,
-    plus its last symbol.  Codes stay below N * n, so they are exact int64
-    for every block length.  The two partial windows split [1, N], so per
-    block ``rho``'s count is ``nu``'s plus ``eta``'s: ``nu`` counts the
-    ranks below ``split`` and ``eta`` is the difference.  Each table's keys
-    are the blocks as tuples of the word's symbols, in order of first
-    occurrence within its own window, which fixes the summation order of
-    ``BlockTable.entropy``.  ``nu``'s window is a prefix of ``rho``'s, so
-    its order is ``rho``'s restricted to its blocks; ``eta`` takes its
-    first occurrences from its own ranks.
+    Each length-b block of [1, N] gets an integer code: the rank of its
+    length-(b-1) prefix among the K_{b-1} distinct prefixes, times n, plus
+    its last symbol.  Codes stay below K_{b-1} * n <= N * n, so they are
+    exact int64 at every length; ``_dense_ranks`` ranks them in ascending
+    order, and a distinct code divided by n is its prefix's rank.  Blocks
+    are counted only at ``depth``: every length counts the same N shifts,
+    so a shorter block's count is the sum of its extensions' counts and its
+    first occurrence their minimum, and each shorter table is that
+    marginal, in exact integers.  ``eta``'s counts are ``rho``'s less
+    ``nu``'s, as the two partial windows split [1, N].
+
+    Each table's keys are the blocks as tuples of the word's symbols, in
+    order of first occurrence within its own window, which fixes the
+    summation order of ``BlockTable.entropy``.  ``nu``'s window is a prefix
+    of ``rho``'s, so its order is ``rho``'s restricted to its blocks;
+    ``eta`` takes its own first occurrences.
+
+    Assumes a counting rank's flag table, K_{b-1} * n entries, fits: it is
+    used only while K_{b-1} * n <= 4 N, and a larger length (a wide
+    alphabet) is ranked by ``np.unique``, with the same result.
     """
     symbols = word.symbols
     n = word.alphabet_size
     arr = np.array(symbols[1 : n_steps + depth], dtype=np.int64)
-    late_at = np.arange(split, n_steps)
-    codes = arr[:n_steps]
-    nu: dict[int, dict[tuple[int, ...], float]] = {}
-    eta: dict[int, dict[tuple[int, ...], float]] = {}
-    rho: dict[int, dict[tuple[int, ...], float]] = {}
+    # parents[b - 1][r]: rank of the prefix of the length-b block of rank r
+    ranks, size, parents = np.zeros(n_steps, dtype=np.int64), 1, []
+    for b in range(1, depth + 1):
+        ranks, present = _dense_ranks(ranks * n + arr[b - 1 : b - 1 + n_steps], size * n)
+        parents.append(present // n)
+        size = len(present)
+    where = np.arange(n_steps)
+    counts = np.bincount(ranks, minlength=size)
+    early = np.bincount(ranks[:split], minlength=size)
+    first = _least(ranks, where, size, n_steps)
+    late_first = _least(ranks[split:], where[split:], size, n_steps)
 
     def table(b: int, at: np.ndarray, counts: np.ndarray, width: int) -> dict:
         return {
@@ -229,28 +269,24 @@ def _window_tables(
             for i, cnt in zip(at.tolist(), counts.tolist())
         }
 
-    for b in range(1, depth + 1):
-        if b > 1:
-            codes = ranks * n + arr[b - 1 : b - 1 + n_steps]
-        # np.unique sorts stably, so first indices and ranks do not depend on
-        # the dtype; in 8- or 16-bit codes the stable sort is a radix sort
-        _, first, ranks, counts = np.unique(
-            codes.astype(np.min_scalar_type(codes.max())),
-            return_index=True,
-            return_inverse=True,
-            return_counts=True,
-        )
-        early = np.bincount(ranks[:split], minlength=len(counts))
+    nu: dict[int, dict[tuple[int, ...], float]] = {}
+    eta: dict[int, dict[tuple[int, ...], float]] = {}
+    rho: dict[int, dict[tuple[int, ...], float]] = {}
+    for b in range(depth, 0, -1):
         late = counts - early
         order = np.argsort(first)
         rho[b] = table(b, first[order], counts[order], n_steps)
         order = order[first[order] < split]
         nu[b] = table(b, first[order], early[order], split)
-        late_first = np.full(len(counts), n_steps)
-        np.minimum.at(late_first, ranks[split:], late_at)
         order = np.argsort(late_first)[: np.count_nonzero(late)]
         eta[b] = table(b, late_first[order], late[order], n_steps - split)
-    return tuple(BlockTable(depth=depth, tables=t) for t in (nu, eta, rho))
+        if b > 1:  # the length-(b-1) marginals; float64 sums of counts <= N are exact
+            up, size = parents[b - 1], len(parents[b - 2])
+            counts = np.bincount(up, weights=counts, minlength=size).astype(np.int64)
+            early = np.bincount(up, weights=early, minlength=size).astype(np.int64)
+            first = _least(up, first, size, n_steps)
+            late_first = _least(up, late_first, size, n_steps)
+    return tuple(BlockTable(depth=depth, tables=dict(reversed(t.items()))) for t in (nu, eta, rho))
 
 
 def _residual_tv(nu: BlockTable, eta: BlockTable, rho: BlockTable, theta: float, b: int) -> float:

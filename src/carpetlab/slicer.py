@@ -302,7 +302,13 @@ def slice_cover(
     if len(keys) != 1:
         raise ValueError(f"a batch needs lines of one carry sequence, got {len(keys)}")
     returns = keys.pop()
-    counts, x_index, y_index = _walk(c, returns, lines, depth, budget)
+    # A line value in _meets_line overflows to +-inf only when the line's
+    # margin |s| + |t| + 1 does too, and an infinite margin sends every cell
+    # of that line to the exact integer kernel: the cover stays exact, so the
+    # overflow warning is noise.  One errstate per walk, since each entry
+    # costs about a microsecond.
+    with np.errstate(over="ignore"):
+        counts, x_index, y_index = _walk(c, returns, lines, depth, budget)
     return SliceCover(
         depth=depth,
         counts=counts.sum(axis=0).tolist(),

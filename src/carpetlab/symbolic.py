@@ -162,34 +162,38 @@ class RotationOrbit:
         """frac(u0 + i*theta), computed exactly and rounded once."""
         return float((Fraction(self.u0) + i * Fraction(self.theta)) % 1)
 
-    def _floors(self, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """floor(u0 + j*theta) for integers j >= 1, and the undecided mask.
+    def _values(self, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """u0 + j*theta in float64 for integers j >= 1, and the undecided mask.
 
         The float64 value v carries two roundings, each at most ulp(v) / 2,
         so its floor is certified unless v lies within 4 * spacing(v) of an
-        integer.  Those undecided entries are recomputed exactly.
+        integer.
         """
         v = self.u0 + j * self.theta
-        undecided = np.abs(v - np.rint(v)) <= 4.0 * np.spacing(v)
+        return v, np.abs(v - np.rint(v)) <= 4.0 * np.spacing(v)
+
+    def _floors(self, j: np.ndarray) -> np.ndarray:
+        """floor(u0 + j*theta), the undecided entries recomputed exactly."""
+        v, undecided = self._values(j)
         floors = np.floor(v).astype(np.int64)
         if undecided.any():
             u, th = Fraction(self.u0), Fraction(self.theta)
             floors[undecided] = [math.floor(u + int(x) * th) for x in j[undecided]]
-        return floors, undecided
+        return floors
 
     def return_count(self, k: int) -> int:
         """Number of i in 0..k with frac(u0 + i*theta) in [1 - theta, 1)."""
         if k < 0:
             raise ValueError("k must be >= 0")
-        return int(self._floors(np.array([k + 1.0]))[0][0])
+        return int(self._floors(np.array([k + 1.0]))[0])
 
     def return_counts(self, k: int) -> np.ndarray:
         """Cumulative return counts: entry i equals return_count(i)."""
-        return self._floors(np.arange(1, k + 2, dtype=np.float64))[0]
+        return self._floors(np.arange(1, k + 2, dtype=np.float64))
 
     def near_boundary(self, k: int) -> bool:
         """True if float64 could not certify a carry at some index up to k."""
-        return bool(self._floors(np.arange(1, k + 2, dtype=np.float64))[1].any())
+        return bool(self._values(np.arange(1, k + 2, dtype=np.float64))[1].any())
 
 
 @dataclass(frozen=True)

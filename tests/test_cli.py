@@ -4,6 +4,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import numpy as np
@@ -13,6 +14,7 @@ from carpetlab.cli import main
 from carpetlab.io import atomic_write, parse_carpet
 from carpetlab.errors import CarpetFileError
 from carpetlab import cli, new_carpet, proptest
+from carpetlab.slicer import exact_cover_cells
 
 
 EXAMPLE = "# test carpet\n3 2\n0 0\n2 0\n1 1\n"
@@ -193,6 +195,32 @@ def test_slice_rejects_non_finite_slope(example_file, capsys):
     captured = capsys.readouterr()
     assert captured.out == ""
     assert "slope must be finite" in captured.err
+
+
+@pytest.mark.parametrize(
+    "slope,t,kept", [("1e308", "1e308", False), ("-1e308", "1e308", True)]
+)
+def test_slice_past_float_range_is_exact_and_quiet(tmp_path, slope, t, kept):
+    # line values or margins overflow float64 here; the command must print no
+    # numpy warning, in a fresh interpreter with default warning filters, and
+    # its counts must be the exact cover's
+    out = tmp_path / "out"
+    argv = ["slice", "--carpet", str(CARPETS / "example.txt"), f"--slope={slope}", f"--t={t}"]
+    argv += ["--depths", "0..8", "--out", str(out)]
+    env = {**os.environ, "PYTHONPATH": str(Path(cli.__file__).resolve().parents[1])}
+    result = subprocess.run(
+        [sys.executable, "-m", "carpetlab", *argv], capture_output=True, text=True, env=env
+    )
+    assert (result.returncode, result.stderr) == (0, "")
+    u0 = json.loads(result.stdout)["u0"]
+    lines = (out / "slice_counts.csv").read_text().splitlines()
+    assert lines[0] == "k,N_k"
+    counts = [int(row.split(",")[1]) for row in lines[1:]]
+    c = cli.load_carpet(str(CARPETS / "example.txt"))
+    s, t = Fraction(float(slope)), Fraction(float(t))  # the doubles the command reads
+    exact = [len(exact_cover_cells(c, s, t, d, u0)) for d in range(9)]
+    assert counts == exact
+    assert any(counts) == kept
 
 
 def test_slice_budget_exit(full_file, capsys):
@@ -472,6 +500,9 @@ def test_scenery_empty_slice(example_file, capsys):
 # the three-window tables (nu, eta and rho each counted on its own), before
 # one count over [1, N] replaced them: with n = 3 and --block 8 the key order
 # of every table reaches the report through h_nu, h_eta and h_rate_curve.
+# The 99,000-step case, a benchmark-sized command, was recorded while every
+# block length was still ranked by its own sort, before the tables were
+# counted once at the deepest length and marginalized down.
 SPARSE_5X3 = "# 5x3 test carpet\n5 3\n0 0\n2 0\n4 0\n1 1\n3 1\n2 2\n"
 
 
@@ -496,6 +527,13 @@ SPARSE_5X3 = "# 5x3 test carpet\n5 3\n0 0\n2 0\n4 0\n1 1\n3 1\n2 2\n"
             9,
             "26a33e8eba8b9c275c8a687c0b7506640d4c080e6d2bc30cefdb3b958db1c6fc",
             "62175aa1106a89eb547acb6e6a6b1c0f38584b0cbeb83d2911c3f3b4a81eb64f",
+        ),
+        (
+            ["--carpet", "example.txt", "--slope", "0.72", "--t", "-0.72", "--steps", "99000"]
+            + ["--depths", "4..10"],
+            12,
+            "5010406ac180a47ed56b776b433b97ffe3a290d13cb6db78fbbc3eed3d743878",
+            "d58b62e030f744c435076356b13cc86d913a03d94567de1fa522480e1d555653",
         ),
     ],
 )

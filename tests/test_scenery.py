@@ -326,6 +326,34 @@ def test_window_table_exact_past_int64_codes(rng, n, depth):
         assert 1 < len(triple.rho.tables[cut + 1]) < n_steps
 
 
+@pytest.mark.parametrize(
+    "n,n_steps,depth,counted,sorted_",
+    [
+        (2, 300, 8, True, False),
+        (5, 300, 1, True, False),
+        (40, 300, 4, True, True),  # 40 * 40 distinct 1-blocks > 4 * 300
+        (200, 50, 3, True, True),  # the first level sits on the cut: 200 == 4 * 50
+        (201, 50, 3, False, True),
+        (1000, 200, 1, False, True),
+    ],
+)
+def test_window_table_counts_or_sorts(rng, monkeypatch, n, n_steps, depth, counted, sorted_):
+    # a level ranks its codes by counting while its flag table, K_{b-1} * n
+    # entries for K_{b-1} distinct shorter blocks, holds at most 4 N, and by
+    # np.unique past that; both sides must give the Counter tables
+    sorts = []
+    unique = np.unique
+    monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
+    symbols = tuple(int(s) for s in rng.integers(0, n, size=n_steps + depth))
+    for split in (1, n_steps // 3, n_steps - 1):
+        sorts.clear()
+        triple = linear_tables(n, symbols, n_steps, split, depth)
+        assert_same_windows(triple, symbols)
+        distinct = [1] + [len(triple.rho.tables[b]) for b in range(1, depth)]
+        assert len(sorts) == sum(k * n > 4 * n_steps for k in distinct)
+        assert (len(sorts) < depth, len(sorts) > 0) == (counted, sorted_)
+
+
 def test_window_table_edges():
     # the late window (1, 0) meets its blocks in the other order than [1, N]
     symbols = (0, 0, 1, 1, 0, 0)
