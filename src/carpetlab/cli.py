@@ -42,10 +42,9 @@ from .slicer import (
     estimate_slice_dimension,
     slice_cover,
 )
-from .symbolic import RotationOrbit
+from .symbolic import RotationOrbit  # perfbench/spans.py reads and swaps cli.RotationOrbit
 
 SCHEMA = "carpet-lab/1"
-BOUNDARY_NUDGE = 1e-12  # applied to u0 when float64 cannot certify a carry
 
 EXIT_PARSE = 2
 EXIT_VALIDATION = 3
@@ -102,19 +101,10 @@ def _add_line_args(p: argparse.ArgumentParser):
     p.add_argument("--sign", type=int, choices=[1, -1], default=1, help="sign of exponent slopes")
 
 
-def _build_line(c: Carpet, u0, slope, t: float, sign: int, horizon: int) -> Line:
+def _build_line(c: Carpet, u0, slope, t: float, sign: int) -> Line:
     if slope is not None:
-        line = Line(slope=float(slope), intercept=t)
-    else:
-        line = Line.from_exponent(c.m, float(u0), intercept=t, sign=sign)
-    # an exponent whose carries float64 cannot certify up to the horizon sits
-    # on (or within rounding of) a carry boundary; nudge it by a documented
-    # epsilon
-    exponent = line.exponent(c.m)
-    if RotationOrbit(c.theta, exponent).near_boundary(horizon):
-        exponent = (exponent + BOUNDARY_NUDGE) % 1.0
-        line = Line(slope=line.slope, intercept=line.intercept, u0=exponent)
-    return line
+        return Line(slope=float(slope), intercept=t)
+    return Line.from_exponent(c.m, float(u0), intercept=t, sign=sign)
 
 
 def _emit(out_dir: str | None, name: str, content: str):
@@ -166,7 +156,7 @@ def _fit(c: Carpet, counts: list[int], lo: int, hi: int, drop_head: int) -> tupl
 def cmd_slice(args) -> int:
     c = load_carpet(args.carpet)
     lo, hi = args.depths
-    line = _build_line(c, args.u0, args.slope, args.t, args.sign, hi + 1)
+    line = _build_line(c, args.u0, args.slope, args.t, args.sign)
     cover = slice_cover(c, line, hi, budget=args.budget)
     series, payload = _fit(c, cover.counts, lo, hi, args.drop_head)
     counts_csv = "k,N_k\n" + "".join(f"{k},{nk}\n" for k, nk in series)
@@ -203,7 +193,7 @@ def cmd_sweep(args) -> int:
     base = ",".join(repr(v) for v in bounds.values())
     header = "u0,t,slope,stderr," + ",".join(bounds) + ",error\n"
     rows = [""] * len(params)
-    # the u0 column: the raw u0 until a line is built, then its exponent
+    # the u0 column: the raw u0 until a line is built and keyed, then its exponent
     u0_column = ["" if u0 is None else repr(u0) for u0, _, _ in params]
 
     def row(i: int, fit: str = ",", error: str = ""):
@@ -217,13 +207,14 @@ def cmd_sweep(args) -> int:
     groups: dict[tuple[int, ...], list[tuple[int, Line]]] = {}
     for i, (u0, slope, t) in enumerate(params):
         try:
-            line = _build_line(c, u0, slope, t, args.sign, hi + 1)
+            line = _build_line(c, u0, slope, t, args.sign)
+            exponent = line.exponent(c.m)
+            key = carries(c, exponent, hi)  # raises on theta = 1 (m = n)
         except (CarpetLabError, ValueError) as exc:
             failed(i, exc)
         else:
-            exponent = line.exponent(c.m)
             u0_column[i] = repr(exponent)
-            groups.setdefault(carries(c, exponent, hi), []).append((i, line))
+            groups.setdefault(key, []).append((i, line))
 
     def walk(batch: list[tuple[int, Line]]):
         try:
@@ -257,7 +248,7 @@ def cmd_scenery(args) -> int:
     c = load_carpet(args.carpet)
     GridPartition(c.n, args.probe_level)  # rejects a negative or int64-overflowing level
     lo, hi = args.depths
-    line = _build_line(c, args.u0, args.slope, args.t, args.sign, args.steps + 1)
+    line = _build_line(c, args.u0, args.slope, args.t, args.sign)
     cover = slice_cover(c, line, hi, budget=args.budget)
     if cover.count == 0:
         text = _report_json({"empty": True, "u0": line.exponent(c.m), "t": line.intercept})

@@ -19,7 +19,6 @@ from . import slicer as sl
 from . import symbolic as sy
 
 EXAMPLE_DIGITS = frozenset({(0, 0), (2, 0), (1, 1)})
-GIBBS_VECTORS_PER_CARPET = 10_000
 MAGNIFY_STARTS = 20
 MAGNIFY_K_MAX = 10
 
@@ -47,10 +46,6 @@ def random_carpet(rng: np.random.Generator, m_max: int = 7) -> cp.Carpet:
         digits = [c for c, keep in zip(cells, mask) if keep]
         if digits:
             return cp.new_carpet(m, n, digits)
-
-
-def random_row_vector(rng: np.random.Generator, size: int, count: int) -> np.ndarray:
-    return rng.dirichlet(np.ones(size), size=count)
 
 
 def interior_word(rng: np.random.Generator, c: cp.Carpet, length: int) -> list[tuple[int, int]]:
@@ -84,18 +79,6 @@ class CheckResult:
 # carpet formula families
 
 
-def check_bound_ordering(rng: np.random.Generator) -> CheckResult:
-    tol = 1e-12
-    carpets = family_3x2() + [random_carpet(rng) for _ in range(1000)]
-    for c in carpets:
-        sh = cp.slice_dimension_bound(c, "hausdorff")
-        sp = cp.slice_dimension_bound(c, "packing")
-        pr = cp.prior_slice_bound(c)
-        if not (sh <= sp + tol and sp <= pr + tol):
-            return CheckResult("bound_ordering", False, len(carpets), detail=f"{sorted(c.digits)}")
-    return CheckResult("bound_ordering", True, len(carpets))
-
-
 def check_transpose_normal_form(rng: np.random.Generator) -> CheckResult:
     carpets = family_3x2() + [random_carpet(rng) for _ in range(100)]
     for c in carpets:
@@ -103,29 +86,6 @@ def check_transpose_normal_form(rng: np.random.Generator) -> CheckResult:
         if cp.dimension_report(c) != cp.dimension_report(swapped):
             return CheckResult("transpose_normal_form", False, len(carpets), detail=str(c))
     return CheckResult("transpose_normal_form", True, len(carpets))
-
-
-def check_gibbs_chains(rng: np.random.Generator) -> CheckResult:
-    tol = 1e-9
-    cases = 0
-    for c in family_3x2():
-        r = len(c.rows)
-        v = random_row_vector(rng, r, GIBBS_VECTORS_PER_CARPET)
-        dbp = cp.box_packing_dimension(c)
-        dh = cp.hausdorff_dimension(c)
-        if np.min(dbp - cp.packing_chain(c, v)) < -tol:
-            return CheckResult("gibbs_chains", False, cases, detail=f"packing {sorted(c.digits)}")
-        if np.min(dh - cp.hausdorff_chain(c, v)) < -tol:
-            return CheckResult("gibbs_chains", False, cases, detail=f"hausdorff {sorted(c.digits)}")
-        a = np.array([float(c.row_count[j]) for j in c.rows])
-        eq_p = a / a.sum()
-        eq_h = a**c.theta / (a**c.theta).sum()
-        if abs(dbp - float(cp.packing_chain(c, eq_p))) > tol:
-            return CheckResult("gibbs_chains", False, cases, detail=f"eq packing {sorted(c.digits)}")
-        if abs(dh - float(cp.hausdorff_chain(c, eq_h))) > tol:
-            return CheckResult("gibbs_chains", False, cases, detail=f"eq hausdorff {sorted(c.digits)}")
-        cases += GIBBS_VECTORS_PER_CARPET
-    return CheckResult("gibbs_chains", True, cases)
 
 
 # ---------------------------------------------------------------------------
@@ -387,9 +347,7 @@ def check_bound_chain(rng: np.random.Generator) -> CheckResult:
 
 
 ALL_CHECKS = [
-    ("bound_ordering", check_bound_ordering),
     ("transpose_normal_form", check_transpose_normal_form),
-    ("gibbs_chains", check_gibbs_chains),
     ("carry_shift_composition", check_carry_shift_composition),
     ("approx_square_diameter", check_approx_square_diameter),
     ("entropy_bounds", check_entropy_bounds),

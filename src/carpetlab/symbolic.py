@@ -147,7 +147,8 @@ class RotationOrbit:
     when floor(u0 + (i+1)*theta) exceeds floor(u0 + i*theta), so the number
     of carries at indices 0..k telescopes to R(k) = floor(u0 + (k+1)*theta).
     ``theta`` and ``u0`` are taken as the exact rationals their doubles
-    represent.
+    represent, and every carry is exact for those doubles: float64 decides
+    the floors it can certify and ``Fraction`` the rest.
     """
 
     def __init__(self, theta: float, u0: float = 0.0):
@@ -162,20 +163,16 @@ class RotationOrbit:
         """frac(u0 + i*theta), computed exactly and rounded once."""
         return float((Fraction(self.u0) + i * Fraction(self.theta)) % 1)
 
-    def _values(self, j: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """u0 + j*theta in float64 for integers j >= 1, and the undecided mask.
+    def _floors(self, j: np.ndarray) -> np.ndarray:
+        """floor(u0 + j*theta) for integers j >= 1.
 
         The float64 value v carries two roundings, each at most ulp(v) / 2,
         so its floor is certified unless v lies within 4 * spacing(v) of an
-        integer.
+        integer; those undecided floors are recomputed exactly.
         """
         v = self.u0 + j * self.theta
-        return v, np.abs(v - np.rint(v)) <= 4.0 * np.spacing(v)
-
-    def _floors(self, j: np.ndarray) -> np.ndarray:
-        """floor(u0 + j*theta), the undecided entries recomputed exactly."""
-        v, undecided = self._values(j)
         floors = np.floor(v).astype(np.int64)
+        undecided = np.abs(v - np.rint(v)) <= 4.0 * np.spacing(v)
         if undecided.any():
             u, th = Fraction(self.u0), Fraction(self.theta)
             floors[undecided] = [math.floor(u + int(x) * th) for x in j[undecided]]
@@ -190,10 +187,6 @@ class RotationOrbit:
     def return_counts(self, k: int) -> np.ndarray:
         """Cumulative return counts: entry i equals return_count(i)."""
         return self._floors(np.arange(1, k + 2, dtype=np.float64))
-
-    def near_boundary(self, k: int) -> bool:
-        """True if float64 could not certify a carry at some index up to k."""
-        return bool(self._values(np.arange(1, k + 2, dtype=np.float64))[1].any())
 
 
 @dataclass(frozen=True)

@@ -14,7 +14,7 @@ from carpetlab.cli import main
 from carpetlab.io import atomic_write, parse_carpet
 from carpetlab.errors import CarpetFileError
 from carpetlab import cli, new_carpet, proptest
-from carpetlab.slicer import exact_cover_cells
+from carpetlab.slicer import Line, exact_cover_cells
 
 
 EXAMPLE = "# test carpet\n3 2\n0 0\n2 0\n1 1\n"
@@ -269,7 +269,7 @@ def test_sweep_axis_parallel_row_tagged(example_file, capsys):
 
 def test_sweep_error_rows_pinned(capsys):
     # the u0 column holds the raw u0 when the line cannot be built, and the
-    # (possibly nudged) exponent when the walk fails
+    # line's exponent when the walk fails
     argv = ["sweep", "--carpet", str(CARPETS / "full_3x2.txt"), "--u0s", "0.3,1.5", "--ts", "0.1"]
     assert main([*argv, "--depths", "4..9", "--budget", "200"]) == 0
     assert capsys.readouterr().out == (
@@ -277,6 +277,60 @@ def test_sweep_error_rows_pinned(capsys):
         "0.3,0.1,,,1.0,1.0,1.0,1.0,1.0,CellBudgetExceeded\n"
         "1.5,0.1,,,1.0,1.0,1.0,1.0,1.0,ValueError\n"
     )
+
+
+EQUAL_BASES = "3 3\n0 0\n1 1\n2 2\n"
+THETA_ONE = "parameter error: theta must be in (0, 1), got 1.0\n"
+
+
+@pytest.mark.parametrize(
+    "argv,code,out,err",
+    [
+        (["slice", "--u0", "0.4", "--t", "0.2", "--depths", "4..9"], 3, "", THETA_ONE),
+        (
+            ["sweep", "--u0s", "0.3,0.6", "--ts", "0.1", "--depths", "4..9"],
+            0,
+            "u0,t,slope,stderr,theorem_h,theorem_p,prior,marstrand_h,marstrand_p,error\n"
+            "0.3,0.1,,,0.0,0.0,0.0,0.0,0.0,ValueError\n"
+            "0.6,0.1,,,0.0,0.0,0.0,0.0,0.0,ValueError\n",
+            "",
+        ),
+        (["scenery", "--u0", "0.4", "--steps", "50", "--depths", "4..8"], 3, "", THETA_ONE),
+    ],
+)
+def test_equal_bases_pinned(tmp_path, capsys, argv, code, out, err):
+    # m = n makes theta = 1, which no rotation orbit accepts: slice and
+    # scenery refuse the command and sweep tags every row
+    carpet = tmp_path / "equal.txt"
+    carpet.write_text(EQUAL_BASES)
+    assert main([argv[0], "--carpet", str(carpet), *argv[1:]]) == code
+    assert capsys.readouterr() == (out, err)
+
+
+def test_boundary_u0_walked_as_given(tmp_path, capsys):
+    # u0 = 1 - theta puts R(0) = floor(u0 + theta) on a carry boundary; every
+    # command walks and reports the u0 it was given
+    path = str(CARPETS / "example.txt")
+    c = cli.load_carpet(path)
+    u0 = 0.3690702464285426
+    assert u0 == 1.0 - c.theta
+    out = tmp_path / "slice"
+    argv = ["slice", "--carpet", path, f"--u0={u0}", "--depths", "4..9", "--out", str(out)]
+    assert main(argv) == 0
+    assert json.loads(capsys.readouterr().out)["u0"] == u0
+    rows = (out / "slice_counts.csv").read_text().splitlines()[1:]
+    slope = Fraction(Line.from_exponent(c.m, u0).slope)
+    assert [int(r.split(",")[1]) for r in rows] == [
+        len(exact_cover_cells(c, slope, Fraction(0), d, u0)) for d in range(4, 10)
+    ]
+    assert main(["sweep", "--carpet", path, f"--u0s={u0}", "--depths", "4..9"]) == 0
+    assert capsys.readouterr().out.splitlines()[1].split(",")[0] == repr(u0)
+    out = tmp_path / "scenery"
+    argv = ["scenery", "--carpet", path, f"--u0={u0}", "--steps", "200", "--depths", "4..8"]
+    assert main([*argv, "--out", str(out)]) in (0, 6)
+    capsys.readouterr()
+    first = (out / "orbit.jsonl").read_text().splitlines()[0]
+    assert json.loads(first)["u"] == u0
 
 
 def test_sweep_non_finite_intercept_row_tagged(example_file, capsys):

@@ -1,8 +1,9 @@
-"""Static guards on the package source: every name it exports is used by
-the program itself or by the acceptance suite, and no check in it is an
-``assert`` statement."""
+"""Guards on the package's names: every name it exports is used by the
+program itself or by the acceptance suite, every name the benchmark's traced
+run patches exists, and no check in the source is an ``assert`` statement."""
 
 import ast
+import sys
 from pathlib import Path
 
 ROOT = Path(__file__).resolve().parents[1]
@@ -47,3 +48,19 @@ def test_no_assert_statements():
         if isinstance(node, ast.Assert)
     ]
     assert found == []
+
+
+def test_benchmark_trace_points_exist(monkeypatch):
+    """``perfbench/spans.py`` patches program names by attribute, such as
+    ``cli.RotationOrbit``; a renamed or deleted one fails here, not in the
+    benchmark.  The import leaves no bytecode in ``perfbench/``."""
+    monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import spans
+
+    from carpetlab import cli
+
+    original = cli.RotationOrbit
+    with spans.Tracer().install():
+        assert cli.RotationOrbit is not original
+    assert cli.RotationOrbit is original

@@ -10,9 +10,7 @@ from carpetlab import proptest
 # (cases, detail) of every family at seed 0; adding, removing or changing a
 # family's output is an edit here
 SEED_0 = {
-    "bound_ordering": (1063, ""),
     "transpose_normal_form": (163, ""),
-    "gibbs_chains": (630000, ""),
     "carry_shift_composition": (20, ""),
     "approx_square_diameter": (50, ""),
     "entropy_bounds": (10000, ""),
@@ -43,5 +41,4 @@ def test_family(name, check):
 
 def test_proptest_seed_invariance_of_hard_checks():
     for seed in (3, 17):
-        assert proptest.check_gibbs_chains(np.random.default_rng(seed)).passed
         assert proptest.check_magnify_identity(np.random.default_rng(seed)).passed

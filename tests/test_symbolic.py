@@ -71,18 +71,16 @@ def test_return_counts_exact_near_carry():
         u0 = float(big_n - j * th)
         for _ in range(4):
             u0 = float(np.nextafter(u0, 0.0))
+        plain_floor_wrong = 0
         for _ in range(9):
             orbit = RotationOrbit(THETA, u0)
             ref = [math.floor(Fraction(u0) + (i + 1) * th) for i in range(21)]
             assert orbit.return_counts(20).tolist() == ref
-            assert orbit.near_boundary(20)
+            plain = np.floor(u0 + np.arange(1, 22) * THETA).astype(int).tolist()
+            plain_floor_wrong += plain != ref
             u0 = float(np.nextafter(u0, 1.0))
-
-
-def test_near_boundary_flag():
-    # u0 exactly at the membership endpoint is flagged
-    assert RotationOrbit(THETA, 1.0 - THETA).near_boundary(0)
-    assert not RotationOrbit(THETA, 0.1).near_boundary(5)
+        # the exact path is reached: plain float64 floors get some u0 wrong
+        assert plain_floor_wrong >= 1
 
 
 # -- words and shifts --
