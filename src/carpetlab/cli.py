@@ -205,11 +205,14 @@ def cmd_sweep(args) -> int:
     # lines that share their carries (see ``carries``) walk the carpet tree
     # once; with the depth checked in main, a walk fails only on the budget
     groups: dict[tuple[int, ...], list[tuple[int, Line]]] = {}
+    keys: dict[float, tuple[int, ...]] = {}  # carries of each distinct exponent
     for i, (u0, slope, t) in enumerate(params):
         try:
             line = _build_line(c, u0, slope, t, args.sign)
             exponent = line.exponent(c.m)
-            key = carries(c, exponent, hi)  # raises on theta = 1 (m = n)
+            if exponent not in keys:
+                keys[exponent] = carries(c, exponent, hi)  # raises on theta = 1 (m = n)
+            key = keys[exponent]
         except (CarpetLabError, ValueError) as exc:
             failed(i, exc)
         else:

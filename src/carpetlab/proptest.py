@@ -19,8 +19,6 @@ from . import slicer as sl
 from . import symbolic as sy
 
 EXAMPLE_DIGITS = frozenset({(0, 0), (2, 0), (1, 1)})
-MAGNIFY_STARTS = 20
-MAGNIFY_K_MAX = 10
 
 
 def example_carpet() -> cp.Carpet:
@@ -234,50 +232,6 @@ def check_slice_nesting(rng: np.random.Generator) -> CheckResult:
 # scenery families
 
 
-def check_magnify_identity(rng: np.random.Generator) -> CheckResult:
-    for _ in range(MAGNIFY_STARTS):
-        c = random_carpet(rng, m_max=5)
-        state, mu0 = _random_state(rng, c, word_len=MAGNIFY_K_MAX + 8)
-        orbit = sy.RotationOrbit(c.theta, state.u)
-        s = state
-        for k in range(1, MAGNIFY_K_MAX + 1):
-            s = sc.magnify_step(s, c.theta)
-            p = orbit.return_count(k - 1)
-            sq = sy.ApproxSquare(state.x_word.prefix(p), state.y_word.prefix(k))
-            direct = ms.condition_rescale(mu0, sq)
-            if len(direct) != len(s.mu):
-                detail = "atom count"
-            elif np.max(np.abs(direct.points - s.mu.points)) > 1e-9:
-                detail = "atoms"
-            elif np.max(np.abs(direct.weights - s.mu.weights)) > 1e-9:
-                detail = "weights"
-            else:
-                continue
-            return CheckResult("magnify_identity", False, MAGNIFY_STARTS, detail=f"{detail} k={k}")
-    return CheckResult("magnify_identity", True, MAGNIFY_STARTS)
-
-
-def _random_state(rng: np.random.Generator, c: cp.Carpet, word_len: int):
-    """Measure with one atom pinned to a genuine carpet point plus noise atoms."""
-    word = interior_word(rng, c, word_len)
-    xw = [a for a, _ in word]
-    yw = [b for _, b in word]
-    x = sum(d / c.m ** (i + 1) for i, d in enumerate(xw))
-    y = sum(d / c.n ** (i + 1) for i, d in enumerate(yw))
-    extra = int(rng.integers(5, 40))
-    pts = np.vstack([[x, y], rng.random((extra, 2))])
-    wts = rng.dirichlet(np.ones(extra + 1))
-    mu = ms.DiscreteMeasure(pts, wts)
-    state = sc.SceneryState(
-        mu=mu,
-        x_word=sy.SymbolWord(c.m, tuple(xw)),
-        y_word=sy.SymbolWord(c.n, tuple(yw)),
-        u=float(rng.random()),
-        omega=sy.SymbolWord(c.n, tuple(yw)),
-    )
-    return state, mu
-
-
 def check_tv_residual_trend(rng: np.random.Generator) -> CheckResult:
     words = 20
     c = example_carpet()
@@ -355,7 +309,6 @@ ALL_CHECKS = [
     ("condition_rescale_mass", check_condition_rescale_mass),
     ("slice_conservative", check_slice_conservative),
     ("slice_nesting", check_slice_nesting),
-    ("magnify_identity", check_magnify_identity),
     ("tv_residual_trend", check_tv_residual_trend),
     ("phase_equidistribution", lambda rng: check_phase_equidistribution()),
     ("bound_chain", check_bound_chain),

@@ -78,24 +78,14 @@ def state_from_cell(
     while len(yw) < len(xw):
         yw.append(min(c.column_rows(xw[len(yw)])))
     # filler digit i (i >= len(yw)) is the pair pairs[i % len(pairs)]
-    pairs = sorted(c.digits)
+    pairs = np.array(sorted(c.digits))
     count = max(0, length - len(yw))
-    turn = len(yw) % len(pairs)
-    cycle = pairs[turn:] + pairs[:turn]
-    reps = -(-count // len(cycle))
-    x_fill = tuple(a for a, _ in cycle) * reps
-    y_fill = tuple(b for _, b in cycle) * reps
-    # only the cell's own symbols need a scan: every filler symbol is a
-    # digit of the validated carpet
-    SymbolWord(c.n, tuple(yw))
-    SymbolWord(c.m, tuple(xw))
-    y_word = SymbolWord._of_valid(c.n, tuple(yw) + y_fill[:count])
+    cycle = np.roll(pairs, -len(yw), axis=0)
+    filler = np.tile(cycle, (-(-count // len(cycle)), 1))[:count]
+    digits = np.concatenate((np.array([xw, yw], dtype=np.int64).T, filler))
+    y_word = SymbolWord(c.n, digits[:, 1])
     state = SceneryState(
-        mu=mu,
-        x_word=SymbolWord._of_valid(c.m, tuple(xw) + x_fill[:count]),
-        y_word=y_word,
-        u=u0,
-        omega=y_word,
+        mu=mu, x_word=SymbolWord(c.m, digits[:, 0]), y_word=y_word, u=u0, omega=y_word
     )
     if _cell_mass(mu, cell) <= 0.0:
         raise ZeroMassCell("starting point's cell carries no mass")
@@ -248,9 +238,8 @@ def _window_tables(
     used only while K_{b-1} * n <= 4 N, and a larger length (a wide
     alphabet) is ranked by ``np.unique``, with the same result.
     """
-    symbols = word.symbols
     n = word.alphabet_size
-    arr = np.array(symbols[1 : n_steps + depth], dtype=np.int64)
+    arr = word.array[1 : n_steps + depth]
     # parents[b - 1][r]: rank of the prefix of the length-b block of rank r
     ranks, size, parents = np.zeros(n_steps, dtype=np.int64), 1, []
     for b in range(1, depth + 1):
@@ -265,7 +254,7 @@ def _window_tables(
 
     def table(b: int, at: np.ndarray, counts: np.ndarray, width: int) -> dict:
         return {
-            symbols[1 + i : 1 + i + b]: cnt / width
+            tuple(arr[i : i + b].tolist()): cnt / width
             for i, cnt in zip(at.tolist(), counts.tolist())
         }
 

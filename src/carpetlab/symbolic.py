@@ -22,48 +22,35 @@ MAX_WORD_LEN = 10**6
 class SymbolWord:
     """Finite word over the alphabet {0, ..., alphabet_size - 1}.
 
-    The symbols are validated once, at construction.  ``shift``,
-    ``carry_shift`` and ``prefix`` return views: the parent's validated
-    tuple, shared, with new bounds, so they neither copy nor re-validate.
-    Length, indexing, ``symbols``, equality and hashing are those of the
-    viewed slice.  Words are immutable.
+    The symbols are one read-only 1-D numpy array, ``array``, of the
+    narrowest dtype that holds ``alphabet_size - 1`` (uint8 up to 256
+    symbols).  They are range-checked once, at construction, from a tuple
+    or an array.  ``shift``, ``carry_shift`` and ``prefix`` return views:
+    numpy slices of the parent's array, so they neither copy nor
+    re-validate.  Length, indexing, ``symbols`` (a tuple of Python ints),
+    equality and hashing are those of the viewed symbols.  Words are
+    immutable.
     """
 
-    __slots__ = ("alphabet_size", "_data", "_start", "_stop")
+    __slots__ = ("alphabet_size", "array")
 
-    def __init__(self, alphabet_size: int, symbols: tuple[int, ...]):
-        symbols = tuple(symbols)
+    def __init__(self, alphabet_size: int, symbols: tuple[int, ...] | np.ndarray):
         if len(symbols) > MAX_WORD_LEN:
             raise SymbolOutOfRange(f"word longer than {MAX_WORD_LEN}")
-        if symbols and (min(symbols) < 0 or max(symbols) >= alphabet_size):
-            s = next(s for s in symbols if not (0 <= s < alphabet_size))
+        given = np.asarray(symbols)
+        if len(given) and (given.min() < 0 or given.max() >= alphabet_size):
+            s = symbols[int(((given < 0) | (given >= alphabet_size)).argmax())]
             raise SymbolOutOfRange(f"symbol {s} outside alphabet of size {alphabet_size}")
-        self._set(alphabet_size, symbols, 0, len(symbols))
+        array = given.astype(np.min_scalar_type(alphabet_size - 1))
+        array.flags.writeable = False
+        object.__setattr__(self, "alphabet_size", alphabet_size)
+        object.__setattr__(self, "array", array)
 
-    @classmethod
-    def _of_valid(cls, alphabet_size: int, symbols: tuple[int, ...]) -> "SymbolWord":
-        """Word of symbols already known to lie in the alphabet.
-
-        For words built from a validated carpet's digits: the length cap is
-        checked, the scan of every symbol is skipped.
-        """
-        if len(symbols) > MAX_WORD_LEN:
-            raise SymbolOutOfRange(f"word longer than {MAX_WORD_LEN}")
-        w = object.__new__(cls)
-        w._set(alphabet_size, symbols, 0, len(symbols))
-        return w
-
-    def _set(self, alphabet_size: int, data: tuple[int, ...], start: int, stop: int):
-        setattr_ = object.__setattr__
-        setattr_(self, "alphabet_size", alphabet_size)
-        setattr_(self, "_data", data)
-        setattr_(self, "_start", start)
-        setattr_(self, "_stop", stop)
-
-    def _view(self, start: int, stop: int) -> "SymbolWord":
-        """Word of ``_data[start:stop]``, with no copy and no validation."""
+    def _view(self, array: np.ndarray) -> "SymbolWord":
+        """Word of a slice of ``self.array``, with no copy and no validation."""
         w = object.__new__(SymbolWord)
-        w._set(self.alphabet_size, self._data, start, stop)
+        object.__setattr__(w, "alphabet_size", self.alphabet_size)
+        object.__setattr__(w, "array", array)
         return w
 
     def __setattr__(self, name, value):
@@ -74,24 +61,20 @@ class SymbolWord:
 
     @property
     def symbols(self) -> tuple[int, ...]:
-        return self._data[self._start : self._stop]
+        return tuple(self.array.tolist())
 
     def __len__(self) -> int:
-        return self._stop - self._start
+        return len(self.array)
 
     def __getitem__(self, i):
         if isinstance(i, slice):
-            return self.symbols[i]
-        return self._data[range(self._start, self._stop)[i]]
+            return tuple(self.array[i].tolist())
+        return int(self.array[i])
 
     def __eq__(self, other):
         if other.__class__ is not SymbolWord:
             return NotImplemented
-        return (
-            self.alphabet_size == other.alphabet_size
-            and len(self) == len(other)
-            and self.symbols == other.symbols
-        )
+        return self.alphabet_size == other.alphabet_size and np.array_equal(self.array, other.array)
 
     def __hash__(self) -> int:
         return hash((self.alphabet_size, self.symbols))
@@ -104,14 +87,14 @@ class SymbolWord:
             raise ValueError(f"prefix length must be >= 0, got {k}")
         if k > len(self):
             raise WordTooShort(f"need {k} symbols, have {len(self)}")
-        return self._view(self._start, self._start + k)
+        return self._view(self.array[:k])
 
 
 def shift(w: SymbolWord) -> SymbolWord:
     """Drop the first symbol."""
     if len(w) == 0:
         raise EmptyWord("cannot shift the empty word")
-    return w._view(w._start + 1, w._stop)
+    return w._view(w.array[1:])
 
 
 def carry_shift(w: SymbolWord, phase: float, theta: float) -> SymbolWord:

@@ -3,6 +3,7 @@ program itself or by the acceptance suite, every name the benchmark's traced
 run patches exists, and no check in the source is an ``assert`` statement."""
 
 import ast
+import dataclasses
 import sys
 from pathlib import Path
 
@@ -50,17 +51,31 @@ def test_no_assert_statements():
     assert found == []
 
 
-def test_benchmark_trace_points_exist(monkeypatch):
+def test_benchmark_trace_points_exist(monkeypatch, tmp_path):
     """``perfbench/spans.py`` patches program names by attribute, such as
     ``cli.RotationOrbit``; a renamed or deleted one fails here, not in the
-    benchmark.  The import leaves no bytecode in ``perfbench/``."""
+    benchmark.  The benchmark's self-test also needs the orbit path to call
+    the traced word, measure and step layers, so 50 steps of the
+    ``long-orbit`` operation run under the tracer.  The import leaves no
+    bytecode in ``perfbench/``."""
     monkeypatch.syspath_prepend(str(ROOT / "perfbench"))
     monkeypatch.setattr(sys, "dont_write_bytecode", True)
+    import run
     import spans
+    import workloads
 
     from carpetlab import cli
 
+    op = dataclasses.replace(workloads.long_orbit(1, small=True).ops[0], steps=50)
+    runner = run.Runner(workloads.Plan({}, [op]), tmp_path)
     original = cli.RotationOrbit
-    with spans.Tracer().install():
+    with spans.Tracer().install() as tracer:
         assert cli.RotationOrbit is not original
+        runner._orbit(runner._orbit_state(op), op)
     assert cli.RotationOrbit is original
+    assert {
+        "symbolic.shift",
+        "measures.entropy",
+        "measures.condition_rescale",
+        "scenery.magnify_step",
+    } <= {span[2] for span in tracer.spans}

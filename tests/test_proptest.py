@@ -18,7 +18,6 @@ SEED_0 = {
     "condition_rescale_mass": (1000, ""),
     "slice_conservative": (10, ""),
     "slice_nesting": (6, ""),
-    "magnify_identity": (20, ""),
     "tv_residual_trend": (20, ""),
     "phase_equidistribution": (10000, "discrepancy=0.00061"),
     "bound_chain": (200, ""),
@@ -37,8 +36,3 @@ def test_family(name, check):
     assert result.name == name
     assert result.passed, result.detail
     assert (result.cases, result.detail) == SEED_0[name]
-
-
-def test_proptest_seed_invariance_of_hard_checks():
-    for seed in (3, 17):
-        assert proptest.check_magnify_identity(np.random.default_rng(seed)).passed

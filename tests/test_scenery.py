@@ -180,8 +180,8 @@ def test_state_from_cell_words_are_carpet_consistent(example):
 
 
 def test_state_from_cell_words_equal_validated_words(example):
-    # the filler skips the per-symbol scan; the words still equal, hash and
-    # pickle as validated ones, and the cell's own symbols are still checked
+    # the words are built from arrays; they still equal, hash and pickle as
+    # words built from tuples, and the cell's own symbols are still checked
     cover = slice_cover(example, Line.from_exponent(example.m, 0.3, 0.2), 6)
     mu = DiscreteMeasure.uniform_on(cover.centers)
     state = state_from_cell(example, cover.cells[0], mu, 0.3, 5000)
@@ -193,6 +193,21 @@ def test_state_from_cell_words_equal_validated_words(example):
     wide = ApproxSquare(SymbolWord(4, (3,)), SymbolWord(2, (0,)))
     with pytest.raises(SymbolOutOfRange, match="symbol 3 outside alphabet of size 3"):
         state_from_cell(example, wide, DiscreteMeasure.point_mass(0.9, 0.1), 0.3, 50)
+
+
+def test_words_are_read_only_narrow_arrays(example):
+    cover = slice_cover(example, Line.from_exponent(example.m, 0.3, 0.2), 6)
+    mu = DiscreteMeasure.uniform_on(cover.centers)
+    state = state_from_cell(example, cover.cells[0], mu, 0.3, 500)
+    for word in (state.x_word, state.y_word, state.y_word.prefix(3)):
+        assert word.array.dtype == np.uint8
+        with pytest.raises(ValueError, match="read-only"):
+            word.array[0] = 0
+    assert SymbolWord(2, ()).symbols == () and len(SymbolWord(2, ())) == 0
+    with pytest.raises(
+        SymbolOutOfRange, match=r"^symbol 1180591620717411303424 outside alphabet of size 2$"
+    ):
+        SymbolWord(2, (0, 2**70))
 
 
 # -- window measures --
