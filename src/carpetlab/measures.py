@@ -22,7 +22,10 @@ class DiscreteMeasure:
     Aggregations are deterministic for a fixed atom array but depend on its
     order: a grid cell's mass is the sum of its atoms' weights taken one by
     one in atom order, and cells come out in lexicographic (ix, iy) order.
+    ``cell_mass`` is the conditioned cell's mass (see ``condition_rescale``).
     """
+
+    cell_mass: float | None = None
 
     def __init__(self, points, weights, *, validate: bool = True):
         pts = np.ascontiguousarray(points, dtype=np.float64)
@@ -146,20 +149,16 @@ def _locate(mu: DiscreteMeasure, sq: ApproxSquare) -> tuple[np.ndarray, np.ndarr
     return hit[:, 0] & hit[:, 1], scaled, origin
 
 
-def cell_mask(mu: DiscreteMeasure, sq: ApproxSquare) -> np.ndarray:
-    """Atoms lying in the cell (left-closed convention), decided on the
-    64-bit-significand ``longdouble`` products of ``_locate``."""
-    return _locate(mu, sq)[0]
-
-
 def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     """Condition ``mu`` on the cell and blow the cell up to the unit square.
 
     Atoms in the cell are renormalized to total mass 1 and mapped by
-    (x, y) -> (frac(x * m^p), frac(y * n^k)).  The product and the
-    subtraction of the cell index run in ``np.longdouble`` with a 64-bit
-    significand (see ``_locate``), so that iterating single-level zooms
-    agrees with one deep zoom to well below 1e-9 per coordinate.
+    (x, y) -> (frac(x * m^p), frac(y * n^k)); the result's ``cell_mass`` is
+    the weight of every atom in the cell, those too light to keep included.
+    The product and the subtraction of the cell index run in
+    ``np.longdouble`` with a 64-bit significand (see ``_locate``), so that
+    iterating single-level zooms agrees with one deep zoom to well below
+    1e-9 per coordinate.
     """
     in_cell, scaled, origin = _locate(mu, sq)
     mask = in_cell & (mu.weights > MIN_ATOM_WEIGHT)
@@ -170,7 +169,9 @@ def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     out = (scaled[mask] - origin).astype(np.float64)
     np.maximum(out, 0.0, out=out)
     np.minimum(out, BELOW_ONE, out=out)
-    return DiscreteMeasure(out, wts / total, validate=False)
+    conditioned = DiscreteMeasure(out, wts / total, validate=False)
+    conditioned.cell_mass = float(mu.weights[in_cell].sum())
+    return conditioned
 
 
 def finite_scale_dimension(mu: DiscreteMeasure, base: int, levels: Iterable[int]) -> float:

@@ -17,7 +17,7 @@ import numpy as np
 
 from .carpet import Carpet, box_packing_dimension, hausdorff_chain, hausdorff_dimension, packing_chain
 from .errors import BlockTooDeep, WordTooShort, ZeroMassCell
-from .measures import DiscreteMeasure, GridPartition, cell_mask, condition_rescale, entropy
+from .measures import DiscreteMeasure, GridPartition, condition_rescale, entropy
 from .symbolic import ApproxSquare, SymbolWord, carry_shift, shift
 
 MAX_STEPS = 10**5
@@ -40,18 +40,10 @@ class SceneryState:
     omega: SymbolWord
 
 
-def _point_cell(state: SceneryState, carry: bool) -> ApproxSquare:
-    return ApproxSquare(state.x_word.prefix(1 if carry else 0), state.y_word.prefix(1))
-
-
-def _cell_mass(mu: DiscreteMeasure, sq: ApproxSquare) -> float:
-    return float(mu.weights[cell_mask(mu, sq)].sum())
-
-
 def magnify_step(state: SceneryState, theta: float) -> SceneryState:
     """One magnification step; raises ZeroMassCell if the point's cell is empty."""
     carry = state.u >= 1.0 - theta
-    cell = _point_cell(state, carry)
+    cell = ApproxSquare(state.x_word.prefix(1 if carry else 0), state.y_word.prefix(1))
     mu = condition_rescale(state.mu, cell)
     new_x = shift(state.x_word) if carry else state.x_word
     new_y = shift(state.y_word)
@@ -87,8 +79,7 @@ def state_from_cell(
     state = SceneryState(
         mu=mu, x_word=SymbolWord(c.m, digits[:, 0]), y_word=y_word, u=u0, omega=y_word
     )
-    if _cell_mass(mu, cell) <= 0.0:
-        raise ZeroMassCell("starting point's cell carries no mass")
+    condition_rescale(mu, cell)  # raises ZeroMassCell if the start cell carries no mass
     return state
 
 
@@ -137,19 +128,19 @@ def run_scenery(
     state = initial
     record(0, state, 1.0)
     for j in range(1, steps + 1):
-        carry = state.u >= 1.0 - theta
-        mass = _cell_mass(state.mu, _point_cell(state, carry))
         try:
             state = magnify_step(state, theta)
         except ZeroMassCell:
             exhausted_at = j
             if records[-1]["step"] != j - 1:
-                # last reached state, with the empty cell's mass
-                record(j - 1, state, mass)
+                # last reached state, with the failed cell's mass: 0.0, as its atoms
+                # weigh at most MIN_ATOM_WEIGHT, and conditioning a normalized measure
+                # brings no weight near that from well above it
+                record(j - 1, state, 0.0)
             break
         phases.append(state.u)
         if j % stride == 0 or j == steps:
-            record(j, state, mass)
+            record(j, state, state.mu.cell_mass)
     return ScenerySummary(records=records, phases=np.array(phases), exhausted_at=exhausted_at)
 
 
@@ -200,7 +191,7 @@ def _dense_ranks(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     if size <= _COUNT_TABLE_PER_SHIFT * len(codes):
         seen = np.bincount(codes, minlength=size) > 0
         return np.cumsum(seen)[codes] - 1, np.flatnonzero(seen)
-    # in 8- or 16-bit codes the sort is a radix sort
+    # a comparison sort, not a radix sort: np.unique argsorts with kind='quicksort'
     present, ranks = np.unique(codes.astype(np.min_scalar_type(size - 1)), return_inverse=True)
     return ranks, present
 

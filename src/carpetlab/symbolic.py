@@ -24,10 +24,10 @@ class SymbolWord:
 
     The symbols are one read-only 1-D numpy array, ``array``, of the
     narrowest dtype that holds ``alphabet_size - 1`` (uint8 up to 256
-    symbols).  They are range-checked once, at construction, from a tuple
-    or an array.  ``shift``, ``carry_shift`` and ``prefix`` return views:
-    numpy slices of the parent's array, so they neither copy nor
-    re-validate.  Length, indexing, ``symbols`` (a tuple of Python ints),
+    symbols).  They are checked once, at construction, from a tuple or an
+    array: integers (bool, int or numpy integer) in range.  ``shift``,
+    ``carry_shift`` and ``prefix`` return views: numpy slices of the
+    parent's array, so they neither copy nor re-validate.  Length, indexing, ``symbols`` (a tuple of Python ints),
     equality and hashing are those of the viewed symbols.  Words are
     immutable.
     """
@@ -38,6 +38,10 @@ class SymbolWord:
         if len(symbols) > MAX_WORD_LEN:
             raise SymbolOutOfRange(f"word longer than {MAX_WORD_LEN}")
         given = np.asarray(symbols)
+        if len(given) and given.dtype.kind not in "biu":  # an object array may hold ints
+            for s in symbols:
+                if not isinstance(s, (int, np.integer)):
+                    raise SymbolOutOfRange(f"symbol {s} is not an integer")
         if len(given) and (given.min() < 0 or given.max() >= alphabet_size):
             s = symbols[int(((given < 0) | (given >= alphabet_size)).argmax())]
             raise SymbolOutOfRange(f"symbol {s} outside alphabet of size {alphabet_size}")

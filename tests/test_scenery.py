@@ -26,7 +26,7 @@ from carpetlab import (
     state_from_cell,
 )
 from carpetlab.errors import BlockTooDeep, SymbolOutOfRange, WordTooShort, ZeroMassCell
-from carpetlab import scenery
+from carpetlab import measures, scenery
 from carpetlab.scenery import BlockTable, EmpiricalTriple
 
 
@@ -43,6 +43,18 @@ def carpet_point_state(c, mu, pairs, u0):
     xw = SymbolWord(c.m, tuple(p[0] for p in pairs))
     yw = SymbolWord(c.n, tuple(p[1] for p in pairs))
     return SceneryState(mu=mu, x_word=xw, y_word=yw, u=u0, omega=yw)
+
+
+def orbit_state(m, n, u0, steps):
+    """The all-zero point mass, as the ``long-orbit`` benchmark starts it."""
+    zeros = (0,) * (steps + 2)
+    return SceneryState(
+        mu=DiscreteMeasure.point_mass(0.0, 0.0),
+        x_word=SymbolWord(m, zeros),
+        y_word=SymbolWord(n, zeros),
+        u=u0,
+        omega=SymbolWord(n, zeros),
+    )
 
 
 def make_triple(c, nu_vec, eta_vec, depth=1):
@@ -152,6 +164,47 @@ def test_run_scenery_multi_atom_bytes_pinned(full_square):
     data = json.dumps(summary.records).encode() + summary.phases.tobytes()
     digest = hashlib.sha256(data).hexdigest()
     assert digest == "e438779ed0f428a7fe72894a21487ccb1b75c5554078b52333784bc74716da6f"
+
+
+def test_run_scenery_exhaustion_record_at_stride(full_square):
+    # test_run_scenery_multi_atom_bytes_pinned's orbit, exhausted at step 7:
+    # at stride 5 the last reached state, step 6, is recorded with the
+    # failed cell's mass
+    cover = slice_cover(full_square, Line(slope=0.6, intercept=0.2), 6)
+    mu = DiscreteMeasure.uniform_on(cover.centers)
+    state = state_from_cell(full_square, cover.cells[0], mu, 0.3, 40)
+    summary = run_scenery(state, 30, full_square.theta, probe_level=2, stride=5)
+    assert summary.exhausted_at == 7
+    assert [rec["step"] for rec in summary.records] == [0, 5, 6]
+    assert summary.records[-1]["cell_mass"] == 0.0
+    assert 0.0 < summary.records[1]["cell_mass"] <= 1.0
+
+
+def test_run_scenery_point_mass_orbits_pinned():
+    # digest recorded at commit 118dd61e, before the record's cell mass
+    # moved onto the conditioned measure
+    digest = hashlib.sha256()
+    for (m, n), u0 in zip([(7, 2), (3, 2), (5, 3), (7, 6)], [0.137, 0.5, 0.861, 0.029]):
+        state = orbit_state(m, n, u0, 300)
+        summary = run_scenery(state, 300, math.log(n) / math.log(m), probe_level=2, stride=1)
+        data = json.dumps([summary.records, summary.exhausted_at]).encode()
+        digest.update(data + summary.phases.tobytes())
+    want = "99b2c7e1a3adc24c8fe44aee4bafeb0e0f38b0ecb9518f50d8cd35498913d12c"
+    assert digest.hexdigest() == want
+
+
+def test_run_scenery_locates_each_cell_once(monkeypatch):
+    calls = []
+    locate = measures._locate
+
+    def counted(mu, sq):
+        calls.append(sq)
+        return locate(mu, sq)
+
+    monkeypatch.setattr(measures, "_locate", counted)
+    summary = run_scenery(orbit_state(7, 6, 0.029, 50), 50, math.log(6) / math.log(7))
+    assert summary.exhausted_at is None and len(summary.records) == 51
+    assert len(calls) == 50
 
 
 def test_run_scenery_caps_steps(full_square):

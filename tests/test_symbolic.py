@@ -98,6 +98,23 @@ def test_word_validation_and_serialization():
         SymbolWord(2, (0,) * (10**6 + 1))
 
 
+def test_word_refuses_non_integer_symbols():
+    with pytest.raises(SymbolOutOfRange, match=r"^symbol 0.5 is not an integer$"):
+        SymbolWord(2, (0.5, 1.9))
+    with pytest.raises(SymbolOutOfRange, match=r"^symbol 1.0 is not an integer$"):
+        SymbolWord(2, (0, 1.0))
+    with pytest.raises(SymbolOutOfRange, match=r"^symbol 0.0 is not an integer$"):
+        SymbolWord(3, np.array([0.0, 2.0]))
+    with pytest.raises(SymbolOutOfRange, match=r"^symbol 2.0 is not an integer$"):
+        SymbolWord(3, np.array([1, 2.0], dtype=object))
+    with pytest.raises(SymbolOutOfRange, match=r"^symbol 1 is not an integer$"):
+        SymbolWord(3, (0, "1"))
+    # integers of any kind pass, and an empty word's float64 array too
+    assert SymbolWord(3, np.array([1, np.int8(2)], dtype=object)).symbols == (1, 2)
+    assert SymbolWord(3, (True, np.uint64(2))).symbols == (1, 2)
+    assert SymbolWord(2, ()).symbols == ()
+
+
 def test_shift_examples():
     assert shift(SymbolWord(2, (0, 1, 1, 0))).symbols == (1, 1, 0)
     with pytest.raises(EmptyWord):
