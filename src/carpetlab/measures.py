@@ -113,7 +113,8 @@ def entropy(mu: DiscreteMeasure, part: GridPartition) -> EntropyReport:
     masses = _aggregate(idx, mu.weights[mask])
     h = float(-(masses * np.log(masses)).sum()) if len(masses) else 0.0
     h = max(h, 0.0) + 0.0  # clamp rounding noise; + 0.0 drops negative zero
-    norm = h / part.norm_log if part.norm_log > 0.0 else 0.0
+    log_side = part.norm_log
+    norm = h / log_side if log_side > 0.0 else 0.0
     return EntropyReport(entropy=h, cell_count=len(masses), normalized=norm)
 
 
@@ -121,14 +122,17 @@ def _aggregate(indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
     """Masses of the occupied cells, in lexicographic (ix, iy) order.
 
     Each cell's weights are added one by one in atom order (``bincount``),
-    so the masses do not depend on how the sort breaks ties.
+    so the masses do not depend on how the sort breaks ties.  Fewer than two
+    atoms need no sort: a single atom is its own cell.
     """
-    if len(weights) == 0:
-        return np.empty(0)
+    if len(weights) < 2:
+        return weights[weights > 0.0]
     order = np.lexsort((indices[:, 1], indices[:, 0]))
     cells = indices[order]
-    new_cell = np.ones(len(order), dtype=bool)
-    new_cell[1:] = (cells[1:] != cells[:-1]).any(axis=1)
+    new_cell = np.empty(len(order), dtype=bool)
+    new_cell[0] = True
+    np.not_equal(cells[1:, 0], cells[:-1, 0], out=new_cell[1:])
+    new_cell[1:] |= cells[1:, 1] != cells[:-1, 1]
     inverse = np.empty_like(order)
     inverse[order] = np.cumsum(new_cell) - 1
     sums = np.bincount(inverse, weights)
@@ -139,12 +143,16 @@ def _locate(mu: DiscreteMeasure, sq: ApproxSquare) -> tuple[np.ndarray, np.ndarr
     """Cell membership of the atoms, the (N, 2) products of the atoms with
     the cell's scales and the cell's index pair, both in ``np.longdouble``.
 
-    The products are exact enough for iterated zooms only where
-    ``longdouble`` has a 64-bit significand (x87 extended, as on x86-64
-    Linux); where it is plain float64, acceptance criterion 6 fails.
+    The scales and the index pair are the two rows of one (2, 2)
+    ``np.longdouble`` array.  The products are exact enough for iterated
+    zooms only where ``longdouble`` has a 64-bit significand (x87 extended,
+    as on x86-64 Linux); where it is plain float64, acceptance criterion 6
+    fails.
     """
-    scaled = mu.points * np.array([sq.x_scale, sq.y_scale], dtype=np.longdouble)
-    origin = np.array([sq.x_index, sq.y_index], dtype=np.longdouble)
+    scales, origin = np.array(
+        [[sq.x_scale, sq.y_scale], [sq.x_index, sq.y_index]], dtype=np.longdouble
+    )
+    scaled = mu.points * scales
     hit = np.floor(scaled) == origin
     return hit[:, 0] & hit[:, 1], scaled, origin
 
@@ -155,6 +163,8 @@ def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     Atoms in the cell are renormalized to total mass 1 and mapped by
     (x, y) -> (frac(x * m^p), frac(y * n^k)); the result's ``cell_mass`` is
     the weight of every atom in the cell, those too light to keep included.
+    The kept weights are summed once; that sum is the cell mass unless light
+    atoms sit in the cell, and only then is the cell summed again.
     The product and the subtraction of the cell index run in
     ``np.longdouble`` with a 64-bit significand (see ``_locate``), so that
     iterating single-level zooms agrees with one deep zoom to well below
@@ -162,15 +172,20 @@ def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     """
     in_cell, scaled, origin = _locate(mu, sq)
     mask = in_cell & (mu.weights > MIN_ATOM_WEIGHT)
-    if not mask.any():
-        raise ZeroMassCell("cell carries no mass")
     wts = mu.weights[mask]
+    if not len(wts):
+        raise ZeroMassCell("cell carries no mass")
     total = wts.sum()  # positive: every kept weight exceeds MIN_ATOM_WEIGHT
     out = (scaled[mask] - origin).astype(np.float64)
     np.maximum(out, 0.0, out=out)
     np.minimum(out, BELOW_ONE, out=out)
     conditioned = DiscreteMeasure(out, wts / total, validate=False)
-    conditioned.cell_mass = float(mu.weights[in_cell].sum())
+    # with no light atom in the cell, the kept weights are the cell's weights
+    # in the same order, so their sum has the bits of the cell's sum
+    if np.count_nonzero(in_cell) == len(wts):
+        conditioned.cell_mass = float(total)
+    else:
+        conditioned.cell_mass = float(mu.weights[in_cell].sum())
     return conditioned
 
 

@@ -89,14 +89,14 @@ class SymbolWord:
     def prefix(self, k: int) -> "SymbolWord":
         if k < 0:
             raise ValueError(f"prefix length must be >= 0, got {k}")
-        if k > len(self):
+        if k > self.array.size:
             raise WordTooShort(f"need {k} symbols, have {len(self)}")
         return self._view(self.array[:k])
 
 
 def shift(w: SymbolWord) -> SymbolWord:
     """Drop the first symbol."""
-    if len(w) == 0:
+    if w.array.size == 0:
         raise EmptyWord("cannot shift the empty word")
     return w._view(w.array[1:])
 
@@ -107,7 +107,7 @@ def carry_shift(w: SymbolWord, phase: float, theta: float) -> SymbolWord:
     The word advances iff ``phase`` lies in [1 - theta, 1); otherwise it is
     returned unchanged.
     """
-    if len(w) == 0:
+    if w.array.size == 0:
         raise EmptyWord("cannot shift the empty word")
     if phase >= 1.0 - theta:
         return shift(w)

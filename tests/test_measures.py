@@ -17,6 +17,7 @@ from carpetlab.errors import (
     UnnormalizedMeasure,
     ZeroMassCell,
 )
+from carpetlab.measures import MIN_ATOM_WEIGHT
 from carpetlab.symbolic import ApproxSquare
 
 
@@ -113,6 +114,31 @@ def test_entropy_summation_order(rng, base, levels):
             assert rep.cell_count == count
 
 
+def entropy_edge_cases():
+    """Small clouds at the edges of the aggregation: no atom to sort, atoms
+    sharing a cell, atoms apart in one coordinate only, a zero weight."""
+    cases = [
+        ("one atom", [[0.3, 0.7]], [1.0], GridPartition(2, 3)),
+        ("two atoms one cell", [[0.3, 0.7], [0.31, 0.71]], [0.25, 0.75], GridPartition(2, 3)),
+        ("apart in ix only", [[0.1, 0.7], [0.9, 0.7]], [0.25, 0.75], GridPartition(2, 3)),
+        ("apart in iy only", [[0.3, 0.1], [0.3, 0.9]], [0.25, 0.75], GridPartition(2, 3)),
+        ("beside a zero weight", [[0.1, 0.1], [0.9, 0.9]], [0.0, 1.0], GridPartition(2, 3)),
+        ("after a zero weight", [[0.9, 0.9], [0.1, 0.1]], [1.0, 0.0], GridPartition(3, 2)),
+    ]
+    three = [[0.1, 0.7], [0.9, 0.7], [0.1, 0.2]], [0.5, 0.25, 0.25]
+    cases += [(f"base 2 level {level}", *three, GridPartition(2, level)) for level in (0, 62)]
+    return [pytest.param(*case[1:], id=case[0]) for case in cases]
+
+
+@pytest.mark.parametrize("points,weights,part", entropy_edge_cases())
+def test_entropy_small_cloud_edges(points, weights, part):
+    mu = DiscreteMeasure(points, weights)
+    rep = entropy(mu, part)
+    h, count = reference_entropy(mu.points, mu.weights, part)
+    assert rep.entropy.hex() == h.hex()
+    assert rep.cell_count == count
+
+
 # -- conditioning --
 
 
@@ -197,6 +223,37 @@ def test_cell_mask_and_rescale_match_two_column_reference(rng, m, n, p, k):
         assert out.points.tobytes() == two_column_rescale(mu, sq, want).tobytes()
         assert out.weights.tobytes() == (mu.weights[want] / mu.weights[want].sum()).tobytes()
     assert hits >= 10
+
+
+def test_condition_rescale_cell_mass_with_light_atoms():
+    # atoms at or below MIN_ATOM_WEIGHT are dropped from the conditioned
+    # measure but still count in the cell's mass
+    sq = ApproxSquare(SymbolWord(3, (1,)), SymbolWord(2, (0,)))  # [1/3, 2/3) x [0, 1/2)
+    points = [[0.4, 0.1], [0.5, 0.2], [0.6, 0.3], [0.45, 0.4], [0.9, 0.9], [0.1, 0.6]]
+    for light in (1e-301, 0.0):
+        weights = np.array([0.3, light, 0.1, light, 0.4, 0.2])
+        mu = DiscreteMeasure(points, weights / weights.sum())
+        want = two_column_mask(mu, sq)
+        assert want.sum() == 4
+        out = condition_rescale(mu, sq)
+        assert out.cell_mass.hex() == float(mu.weights[want].sum()).hex()
+        kept = want & (mu.weights > MIN_ATOM_WEIGHT)
+        assert kept.sum() == 2
+        assert out.points.tobytes() == two_column_rescale(mu, sq, kept).tobytes()
+        assert out.weights.tobytes() == (mu.weights[kept] / mu.weights[kept].sum()).tobytes()
+
+    # kept atoms just above MIN_ATOM_WEIGHT: the light atoms change the sum,
+    # so the kept weights' sum is not the cell's mass
+    mu = DiscreteMeasure(points, [2e-300, 1e-301, 3e-300, 1e-301, 0.5, 0.5])
+    out = condition_rescale(mu, sq)
+    assert len(out) == 2
+    assert out.cell_mass.hex() == float(mu.weights[two_column_mask(mu, sq)].sum()).hex()
+    assert out.cell_mass != float(mu.weights[[0, 2]].sum())
+
+    # a cell whose only atoms are light carries no mass
+    mu = DiscreteMeasure(points, [0.0, 1e-301, 0.0, 1e-301, 0.5, 0.5])
+    with pytest.raises(ZeroMassCell):
+        condition_rescale(mu, sq)
 
 
 # -- finite-scale dimension --
