@@ -14,6 +14,11 @@ from .symbolic import ApproxSquare
 MASS_TOL = 1e-12
 MIN_ATOM_WEIGHT = 1e-300  # below this, conditioning drops the atom outright
 BELOW_ONE = np.nextafter(1.0, 0.0)  # rescaled coordinates are clamped into [0, BELOW_ONE]
+# _locate's range as longdouble scalars: a Python float bound would be converted on every call
+_LD_ZERO, _LD_ONE = np.longdouble(0), np.longdouble(1)
+# a counted grid's mass table may hold this many cells per atom; past that a
+# sort groups the atoms, so memory stays bounded
+_COUNT_TABLE_PER_ATOM = 4
 
 
 class DiscreteMeasure:
@@ -110,7 +115,7 @@ def entropy(mu: DiscreteMeasure, part: GridPartition) -> EntropyReport:
     mu.require_normalized()
     mask = mu.weights > 0.0
     idx = part.cell_indices(mu.points[mask])
-    masses = _aggregate(idx, mu.weights[mask])
+    masses = _aggregate(idx, mu.weights[mask], part.base**part.level)
     h = float(-(masses * np.log(masses)).sum()) if len(masses) else 0.0
     h = max(h, 0.0) + 0.0  # clamp rounding noise; + 0.0 drops negative zero
     log_side = part.norm_log
@@ -118,15 +123,21 @@ def entropy(mu: DiscreteMeasure, part: GridPartition) -> EntropyReport:
     return EntropyReport(entropy=h, cell_count=len(masses), normalized=norm)
 
 
-def _aggregate(indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
+def _aggregate(indices: np.ndarray, weights: np.ndarray, scale: int) -> np.ndarray:
     """Masses of the occupied cells, in lexicographic (ix, iy) order.
 
     Each cell's weights are added one by one in atom order (``bincount``),
-    so the masses do not depend on how the sort breaks ties.  Fewer than two
-    atoms need no sort: a single atom is its own cell.
+    so the masses do not depend on how the cells are found.  Fewer than two
+    atoms need no grouping: a single atom is its own cell.  A small grid,
+    ``scale**2 <= 4 * len(weights)``, is counted: the key ix * (scale + 1) + iy
+    (indices run to ``scale``, the cell of coordinate 1.0) ascends in
+    (ix, iy) order.  A larger grid is sorted, so memory stays bounded.
     """
     if len(weights) < 2:
         return weights[weights > 0.0]
+    if scale**2 <= _COUNT_TABLE_PER_ATOM * len(weights):
+        sums = np.bincount(indices[:, 0] * (scale + 1) + indices[:, 1], weights)
+        return sums[sums > 0.0]
     order = np.lexsort((indices[:, 1], indices[:, 0]))
     cells = indices[order]
     new_cell = np.empty(len(order), dtype=bool)
@@ -139,22 +150,29 @@ def _aggregate(indices: np.ndarray, weights: np.ndarray) -> np.ndarray:
     return sums[sums > 0.0]
 
 
-def _locate(mu: DiscreteMeasure, sq: ApproxSquare) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Cell membership of the atoms, the (N, 2) products of the atoms with
-    the cell's scales and the cell's index pair, both in ``np.longdouble``.
+def _locate(mu: DiscreteMeasure, sq: ApproxSquare) -> tuple[np.ndarray, np.ndarray]:
+    """Cell membership of the atoms and their (N, 2) offsets in the cell:
+    the products with the cell's scales less its index pair, in
+    ``np.longdouble``.
 
-    The scales and the index pair are the two rows of one (2, 2)
-    ``np.longdouble`` array.  The products are exact enough for iterated
-    zooms only where ``longdouble`` has a 64-bit significand (x87 extended,
-    as on x86-64 Linux); where it is plain float64, acceptance criterion 6
-    fails.
+    An atom is in the cell when both offsets lie in [0, 1), a range test
+    that decides ``floor(product) == index`` exactly, without ``floorl``:
+    where the product s satisfies o <= s < o + 1 for the whole index o
+    (as a ``longdouble``, rounded when above 2**64), s - o is exact
+    (Sterbenz), and rounding is monotone and maps no nonzero difference to
+    0, so outside that range the offset is negative or at least 1.  The
+    products are exact enough for iterated zooms only where ``longdouble``
+    has a 64-bit significand (x87 extended, as on x86-64 Linux); where it
+    is plain float64, acceptance criterion 6 fails.
     """
     scales, origin = np.array(
         [[sq.x_scale, sq.y_scale], [sq.x_index, sq.y_index]], dtype=np.longdouble
     )
-    scaled = mu.points * scales
-    hit = np.floor(scaled) == origin
-    return hit[:, 0] & hit[:, 1], scaled, origin
+    offset = mu.points * scales
+    offset -= origin
+    hit = offset >= _LD_ZERO
+    hit &= offset < _LD_ONE
+    return hit[:, 0] & hit[:, 1], offset
 
 
 def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
@@ -165,18 +183,18 @@ def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     the weight of every atom in the cell, those too light to keep included.
     The kept weights are summed once; that sum is the cell mass unless light
     atoms sit in the cell, and only then is the cell summed again.
-    The product and the subtraction of the cell index run in
-    ``np.longdouble`` with a 64-bit significand (see ``_locate``), so that
-    iterating single-level zooms agrees with one deep zoom to well below
-    1e-9 per coordinate.
+    The new coordinates are ``_locate``'s offsets, computed in
+    ``np.longdouble`` with a 64-bit significand, so that iterating
+    single-level zooms agrees with one deep zoom to well below 1e-9 per
+    coordinate.
     """
-    in_cell, scaled, origin = _locate(mu, sq)
+    in_cell, offset = _locate(mu, sq)
     mask = in_cell & (mu.weights > MIN_ATOM_WEIGHT)
     wts = mu.weights[mask]
     if not len(wts):
         raise ZeroMassCell("cell carries no mass")
     total = wts.sum()  # positive: every kept weight exceeds MIN_ATOM_WEIGHT
-    out = (scaled[mask] - origin).astype(np.float64)
+    out = offset[mask].astype(np.float64)
     np.maximum(out, 0.0, out=out)
     np.minimum(out, BELOW_ONE, out=out)
     conditioned = DiscreteMeasure(out, wts / total, validate=False)

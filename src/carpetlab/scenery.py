@@ -17,7 +17,14 @@ import numpy as np
 
 from .carpet import Carpet, box_packing_dimension, hausdorff_chain, hausdorff_dimension, packing_chain
 from .errors import BlockTooDeep, WordTooShort, ZeroMassCell
-from .measures import DiscreteMeasure, GridPartition, condition_rescale, entropy
+from .measures import (
+    MIN_ATOM_WEIGHT,
+    DiscreteMeasure,
+    GridPartition,
+    _locate,
+    condition_rescale,
+    entropy,
+)
 from .symbolic import ApproxSquare, SymbolWord, carry_shift, shift
 
 MAX_STEPS = 10**5
@@ -61,7 +68,8 @@ def state_from_cell(
     digits (smallest admissible, then the sorted digit list cyclically) so
     the point genuinely lies in the carpet and the orbit can run ``length``
     steps without running out of symbols.  ``omega`` is the vertical word
-    itself.
+    itself.  Raises ZeroMassCell, as the first zoom would, if no atom of the
+    cell outweighs ``MIN_ATOM_WEIGHT``.
     """
     xw = list(cell.x_word.symbols)
     yw = list(cell.y_word.symbols)
@@ -79,7 +87,9 @@ def state_from_cell(
     state = SceneryState(
         mu=mu, x_word=SymbolWord(c.m, digits[:, 0]), y_word=y_word, u=u0, omega=y_word
     )
-    condition_rescale(mu, cell)  # raises ZeroMassCell if the start cell carries no mass
+    in_cell, _ = _locate(mu, cell)  # the start cell, not conditioned on
+    if not np.any(mu.weights[in_cell] > MIN_ATOM_WEIGHT):
+        raise ZeroMassCell("cell carries no mass")
     return state
 
 
@@ -208,16 +218,19 @@ def _window_tables(
 ) -> tuple[BlockTable, BlockTable, BlockTable]:
     """Block tables of shifts [1, split], [split + 1, N] and [1, N], in one pass.
 
-    Each length-b block of [1, N] gets an integer code: the rank of its
-    length-(b-1) prefix among the K_{b-1} distinct prefixes, times n, plus
-    its last symbol.  Codes stay below K_{b-1} * n <= N * n, so they are
-    exact int64 at every length; ``_dense_ranks`` ranks them in ascending
-    order, and a distinct code divided by n is its prefix's rank.  Blocks
-    are counted only at ``depth``: every length counts the same N shifts,
-    so a shorter block's count is the sum of its extensions' counts and its
-    first occurrence their minimum, and each shorter table is that
-    marginal, in exact integers.  ``eta``'s counts are ``rho``'s less
-    ``nu``'s, as the two partial windows split [1, N].
+    Each length-b block of [1, N] gets an integer code: its length-(b-1)
+    prefix's code times n, plus its last symbol, so a code divided by n is
+    its prefix's code.  A length's code space is the shorter length's times
+    n.  Only when the next length's space would exceed 4 N does
+    ``_dense_ranks`` compact a length's codes to their ranks among its K_b
+    distinct codes, in ascending order, so the space of the next length is
+    K_b * n.  Spaces stay below max(4 N, N * n), and the codes are exact
+    int64 at every length.  Blocks are counted only at ``depth``: every
+    length counts the same N shifts, so a shorter block's count is the sum
+    of its extensions' counts and its first occurrence their minimum, and
+    each shorter table is that marginal, in exact integers; codes that no
+    block takes count 0 and stay out of the tables.  ``eta``'s counts are
+    ``rho``'s less ``nu``'s, as the two partial windows split [1, N].
 
     Each table's keys are the blocks as tuples of the word's symbols, in
     order of first occurrence within its own window, which fixes the
@@ -225,23 +238,30 @@ def _window_tables(
     of ``rho``'s, so its order is ``rho``'s restricted to its blocks;
     ``eta`` takes its own first occurrences.
 
-    Assumes a counting rank's flag table, K_{b-1} * n entries, fits: it is
-    used only while K_{b-1} * n <= 4 N, and a larger length (a wide
-    alphabet) is ranked by ``np.unique``, with the same result.
+    Assumes a counting rank's flag table, one entry per code of the space,
+    fits: it is used only while the space is at most 4 N, and a larger
+    space (a wide alphabet) is ranked by ``np.unique``, with the same
+    result.
     """
     n = word.alphabet_size
+    limit = _COUNT_TABLE_PER_SHIFT * n_steps
     arr = word.array[1 : n_steps + depth]
-    # parents[b - 1][r]: rank of the prefix of the length-b block of rank r
-    ranks, size, parents = np.zeros(n_steps, dtype=np.int64), 1, []
+    # parents[b - 1][c]: code of the prefix of the length-b block of code c
+    codes, size, parents = np.zeros(n_steps, dtype=np.int64), 1, []
     for b in range(1, depth + 1):
-        ranks, present = _dense_ranks(ranks * n + arr[b - 1 : b - 1 + n_steps], size * n)
-        parents.append(present // n)
-        size = len(present)
+        codes = codes * n + arr[b - 1 : b - 1 + n_steps]
+        size *= n
+        if size * n > limit:  # the next length's space would pass the limit
+            codes, present = _dense_ranks(codes, size)
+            parents.append(present // n)
+            size = len(present)
+        else:
+            parents.append(np.arange(size) // n)
     where = np.arange(n_steps)
-    counts = np.bincount(ranks, minlength=size)
-    early = np.bincount(ranks[:split], minlength=size)
-    first = _least(ranks, where, size, n_steps)
-    late_first = _least(ranks[split:], where[split:], size, n_steps)
+    counts = np.bincount(codes, minlength=size)
+    early = np.bincount(codes[:split], minlength=size)
+    first = _least(codes, where, size, n_steps)
+    late_first = _least(codes[split:], where[split:], size, n_steps)
 
     def table(b: int, at: np.ndarray, counts: np.ndarray, width: int) -> dict:
         return {
@@ -254,7 +274,7 @@ def _window_tables(
     rho: dict[int, dict[tuple[int, ...], float]] = {}
     for b in range(depth, 0, -1):
         late = counts - early
-        order = np.argsort(first)
+        order = np.argsort(first)[: np.count_nonzero(counts)]
         rho[b] = table(b, first[order], counts[order], n_steps)
         order = order[first[order] < split]
         nu[b] = table(b, first[order], early[order], split)

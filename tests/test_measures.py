@@ -17,6 +17,7 @@ from carpetlab.errors import (
     UnnormalizedMeasure,
     ZeroMassCell,
 )
+from carpetlab import measures
 from carpetlab.measures import MIN_ATOM_WEIGHT
 from carpetlab.symbolic import ApproxSquare
 
@@ -139,6 +140,31 @@ def test_entropy_small_cloud_edges(points, weights, part):
     assert rep.cell_count == count
 
 
+@pytest.mark.parametrize(
+    "base,level,atoms,counted",
+    [(2, 3, 16, True), (3, 2, 20, False), (3, 2, 21, True)],
+    ids=["scale**2 == 4 len", "scale**2 == 4 len + 1", "odd scale counted"],
+)
+def test_entropy_counting_cut(rng, monkeypatch, base, level, atoms, counted):
+    # a grid of scale**2 cells is counted while scale**2 <= 4 * atoms and
+    # sorted past that; both sides must keep the summation order.  Atoms
+    # on the edge 1.0 take the index ``scale``, so a key ix * scale + iy
+    # would merge (0.5, 1.0) with (0.625, 0.0) at scales 8 and 9
+    sorts = []
+    lexsort = np.lexsort
+    monkeypatch.setattr(np, "lexsort", lambda *a, **k: sorts.append(1) or lexsort(*a, **k))
+    distinct = np.vstack([[[0.5, 1.0], [0.625, 0.0], [1.0, 1.0], [1.0, 0.0]], rng.random((3, 2))])
+    points = distinct[np.arange(atoms) % len(distinct)]
+    weights = rng.random(atoms) * 10.0 ** rng.integers(-12, 1, atoms)
+    mu = DiscreteMeasure(points, weights / weights.sum())
+    part = GridPartition(base, level)
+    rep = entropy(mu, part)
+    h, count = reference_entropy(mu.points, mu.weights, part)
+    assert rep.entropy.hex() == h.hex()
+    assert rep.cell_count == count == len(distinct)
+    assert (len(sorts) == 0) == counted
+
+
 # -- conditioning --
 
 
@@ -187,14 +213,18 @@ def two_column_rescale(mu, sq, mask):
     return out
 
 
-def cell_word(coord: float, base: int, depth: int) -> SymbolWord:
-    """The exact depth-``depth`` base-``base`` digits of a double."""
-    index = math.floor(Fraction(coord) * base**depth)
+def index_word(index: int, base: int, depth: int) -> SymbolWord:
+    """The depth-``depth`` base-``base`` digits of a cell index."""
     digits = []
     for _ in range(depth):
         index, d = divmod(index, base)
         digits.append(d)
     return SymbolWord(base, tuple(reversed(digits)))
+
+
+def cell_word(coord: float, base: int, depth: int) -> SymbolWord:
+    """The exact depth-``depth`` base-``base`` digits of a double."""
+    return index_word(math.floor(Fraction(coord) * base**depth), base, depth)
 
 
 # cell scales m**p x n**k below 2**53, between 2**53 and 2**64, and above 2**64
@@ -223,6 +253,52 @@ def test_cell_mask_and_rescale_match_two_column_reference(rng, m, n, p, k):
         assert out.points.tobytes() == two_column_rescale(mu, sq, want).tobytes()
         assert out.weights.tobytes() == (mu.weights[want] / mu.weights[want].sum()).tobytes()
     assert hits >= 10
+
+
+def edge_coordinates(rng, base: int, depth: int) -> tuple[list[float], list[int]]:
+    """Doubles nearest to cell edges e / base**depth and one double either
+    side of each, -0.0 among them, with the cells that meet at those edges."""
+    scale = base**depth
+    inner = [int(rng.integers(1, 2**62)) * scale // 2**62 for _ in range(4)]
+    coords, cells = [-0.0], set()
+    for edge in [0, 1, scale - 1, scale] + inner:
+        c = float(Fraction(edge, scale))
+        coords += [c, np.nextafter(c, -1.0), np.nextafter(c, 2.0)]
+        cells.update({max(edge - 1, 0), min(edge, scale - 1)})
+    return [c for c in coords if 0.0 <= c <= 1.0], sorted(cells)
+
+
+# the scale regimes of the reference test: below 2**53, between 2**53 and
+# 2**64 (in one or both coordinates), and above 2**64
+@pytest.mark.parametrize("m,n,p,k", [(3, 2, 5, 8), (5, 2, 23, 60), (10, 9, 19, 20), (5, 2, 40, 90)])
+def test_locate_range_test_at_cell_edges(rng, m, n, p, k):
+    # ``_locate`` decides floor(product) == index by 0 <= product - index < 1;
+    # at and beside every edge it must agree with floorl, and the rescaled
+    # points with the column-by-column reference
+    xs, x_cells = edge_coordinates(rng, m, p)
+    ys, y_cells = edge_coordinates(rng, n, k)
+    points = np.array([(x, y) for x in xs for y in ys])
+    mu = DiscreteMeasure(points, np.full(len(points), 1.0 / len(points)))
+    scales = np.array([m**p, n**k], dtype=np.longdouble)
+    hits = 0
+    for ix in x_cells:
+        for iy in y_cells:
+            sq = ApproxSquare(index_word(ix, m, p), index_word(iy, n, k))
+            origin = np.array([ix, iy], dtype=np.longdouble)
+            want = (np.floor(mu.points * scales) == origin).all(axis=1)
+            in_cell, _ = measures._locate(mu, sq)
+            assert in_cell.tolist() == want.tolist()
+            if not want.any():
+                with pytest.raises(ZeroMassCell):
+                    condition_rescale(mu, sq)
+                continue
+            hits += 1
+            out = condition_rescale(mu, sq)
+            # np.clip keeps -0.0 and the clamp of condition_rescale gives +0.0
+            ref = two_column_rescale(mu, sq, want) + 0.0
+            assert out.points.tobytes() == ref.tobytes()
+    assert hits >= 4
+    assert np.signbit(mu.points).any()  # the -0.0 atoms are in the cloud
 
 
 def test_condition_rescale_cell_mass_with_light_atoms():

@@ -248,6 +248,25 @@ def test_state_from_cell_words_equal_validated_words(example):
         state_from_cell(example, wide, DiscreteMeasure.point_mass(0.9, 0.1), 0.3, 50)
 
 
+def test_state_from_cell_refuses_a_cell_without_mass(example):
+    # the start cell [0, 1/3) x [0, 1/2) is checked without conditioning on
+    # it: empty, or holding only atoms too light to keep, it raises as the
+    # first zoom would
+    cell = ApproxSquare(SymbolWord(3, (0,)), SymbolWord(2, (0,)))
+    far = [[0.5, 0.75], [0.9, 0.2]]
+    for mu in (
+        DiscreteMeasure(far, [0.5, 0.5]),
+        DiscreteMeasure([[0.1, 0.1], [0.2, 0.3], *far], [1e-301, 1e-301, 0.5, 0.5]),
+    ):
+        with pytest.raises(ZeroMassCell, match="cell carries no mass"):
+            state_from_cell(example, cell, mu, 0.3, 50)
+        with pytest.raises(ZeroMassCell, match="cell carries no mass"):
+            measures.condition_rescale(mu, cell)
+    # one atom just above MIN_ATOM_WEIGHT is enough
+    mu = DiscreteMeasure([[0.1, 0.1], *far], [2e-300, 0.5, 0.5])
+    assert state_from_cell(example, cell, mu, 0.3, 50).mu is mu
+
+
 def test_words_are_read_only_narrow_arrays(example):
     cover = slice_cover(example, Line.from_exponent(example.m, 0.3, 0.2), 6)
     mu = DiscreteMeasure.uniform_on(cover.centers)
@@ -420,6 +439,30 @@ def test_window_table_counts_or_sorts(rng, monkeypatch, n, n_steps, depth, count
         distinct = [1] + [len(triple.rho.tables[b]) for b in range(1, depth)]
         assert len(sorts) == sum(k * n > 4 * n_steps for k in distinct)
         assert (len(sorts) < depth, len(sorts) > 0) == (counted, sorted_)
+
+
+@pytest.mark.parametrize(
+    "n,n_steps,depth,compactions",
+    [
+        (2, 99_000, 6, 0),  # 2**6 * 2 codes, far below 4 N
+        (3, 300, 6, 1),  # 3**6 * 3 > 4 N: only the last length compacts
+        (3, 300, 9, 4),  # ... and each longer one, as K_b * 9 > 4 N
+        (40, 300, 4, 4),  # 40 * 40 > 4 N: every length compacts
+    ],
+)
+def test_window_table_compacts_lazily(rng, monkeypatch, n, n_steps, depth, compactions):
+    # codes grow as code * n + symbol and are compacted to ranks only when
+    # the next length's space would exceed 4 N; the tables stay the Counter
+    # tables whether or not a length was compacted
+    calls = []
+    dense_ranks = scenery._dense_ranks
+    monkeypatch.setattr(
+        scenery, "_dense_ranks", lambda codes, size: calls.append(size) or dense_ranks(codes, size)
+    )
+    symbols = tuple(int(s) for s in rng.integers(0, n, size=n_steps + depth))
+    triple = linear_tables(n, symbols, n_steps, n_steps // 3, depth)
+    assert_same_windows(triple, symbols)
+    assert len(calls) == compactions
 
 
 def test_window_table_edges():

@@ -6,6 +6,8 @@ Prints one JSON object that maps each item of ROADMAP.md's byte-identical
 set to the sha256 of its output:
 
 - each README CLI example (``proptest --seed 0`` among them);
+- the deep ``scenery`` command on ``full_3x2`` at depths 4..20, whose
+  cover holds about 2.6M cells (a few seconds and about 500 MB);
 - each ``dense-sweep``, ``sparse-sweep`` and ``scenery-report`` command of
   the benchmark plans at seeds 1 and 2;
 - ``run_scenery``'s records, phases and ``exhausted_at`` on each
@@ -41,6 +43,7 @@ README_EXAMPLES = (
     "scenery  --carpet carpets/full_3x2.txt --slope 1.0 --steps 1000 --depths 4..10",
     "proptest --seed 0",
 )
+DEEP_COMMANDS = ("scenery --carpet carpets/full_3x2.txt --slope 1.0 --steps 1000 --depths 4..20",)
 CLI_WORKLOADS = ("dense-sweep", "sparse-sweep", "scenery-report")
 CLI_SEEDS = (1, 2)
 ORBIT_SEEDS = (1, 2, 3)
@@ -77,6 +80,8 @@ def main(argv=None) -> int:
         shutil.copytree(root / "carpets", cwd / "carpets")
         for example in README_EXAMPLES:
             digests[f"readme: {' '.join(example.split())}"] = run_command(root, cwd, example.split())
+        for command in DEEP_COMMANDS:
+            digests[f"deep: {command}"] = run_command(root, cwd, command.split())
         for name in CLI_WORKLOADS:
             for seed in CLI_SEEDS:
                 plan = workloads.PLANS[name](seed)
