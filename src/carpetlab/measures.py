@@ -79,9 +79,11 @@ class DiscreteMeasure:
 class GridPartition:
     """Square grid partition of the unit square into base**level cells a side.
 
-    Cells are half-open, left-closed: the cell index of a coordinate is
-    floor(coordinate * base**level).  Cell indices are int64, so a negative
-    level or a scale base**level of 2**63 or more is rejected.
+    Cells are half-open, left-closed, except that the last row and column
+    are closed: the cell index of a coordinate is
+    min(floor(coordinate * base**level), base**level - 1), so 1.0 lies in
+    the last cell.  Cell indices are int64, so a negative level or a scale
+    base**level of 2**63 or more is rejected.
     """
 
     base: int
@@ -95,7 +97,8 @@ class GridPartition:
 
     def cell_indices(self, points: np.ndarray) -> np.ndarray:
         scale = self.base**self.level
-        return np.floor(points * scale).astype(np.int64)
+        indices = np.floor(points * scale).astype(np.int64)
+        return np.minimum(indices, scale - 1, out=indices)
 
     @property
     def norm_log(self) -> float:
@@ -114,8 +117,7 @@ def entropy(mu: DiscreteMeasure, part: GridPartition) -> EntropyReport:
     """Shannon entropy (nats) of the cell masses of ``mu``."""
     mu.require_normalized()
     mask = mu.weights > 0.0
-    idx = part.cell_indices(mu.points[mask])
-    masses = _aggregate(idx, mu.weights[mask], part.base**part.level)
+    masses = _aggregate(mu.points[mask], mu.weights[mask], part)
     h = float(-(masses * np.log(masses)).sum()) if len(masses) else 0.0
     h = max(h, 0.0) + 0.0  # clamp rounding noise; + 0.0 drops negative zero
     log_side = part.norm_log
@@ -123,20 +125,22 @@ def entropy(mu: DiscreteMeasure, part: GridPartition) -> EntropyReport:
     return EntropyReport(entropy=h, cell_count=len(masses), normalized=norm)
 
 
-def _aggregate(indices: np.ndarray, weights: np.ndarray, scale: int) -> np.ndarray:
-    """Masses of the occupied cells, in lexicographic (ix, iy) order.
+def _aggregate(points: np.ndarray, weights: np.ndarray, part: GridPartition) -> np.ndarray:
+    """Masses of the occupied cells of ``part``, in lexicographic (ix, iy) order.
 
     Each cell's weights are added one by one in atom order (``bincount``),
     so the masses do not depend on how the cells are found.  Fewer than two
-    atoms need no grouping: a single atom is its own cell.  A small grid,
-    ``scale**2 <= 4 * len(weights)``, is counted: the key ix * (scale + 1) + iy
-    (indices run to ``scale``, the cell of coordinate 1.0) ascends in
-    (ix, iy) order.  A larger grid is sorted, so memory stays bounded.
+    atoms need no cell indices: a single atom is its own cell.  A small grid,
+    ``scale**2 <= 4 * len(weights)``, is counted: the key ix * scale + iy
+    ascends in (ix, iy) order.  A larger grid is sorted, so memory stays
+    bounded.
     """
     if len(weights) < 2:
         return weights[weights > 0.0]
+    scale = part.base**part.level
+    indices = part.cell_indices(points)
     if scale**2 <= _COUNT_TABLE_PER_ATOM * len(weights):
-        sums = np.bincount(indices[:, 0] * (scale + 1) + indices[:, 1], weights)
+        sums = np.bincount(indices[:, 0] * scale + indices[:, 1], weights)
         return sums[sums > 0.0]
     order = np.lexsort((indices[:, 1], indices[:, 0]))
     cells = indices[order]

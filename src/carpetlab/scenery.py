@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, fields
-from typing import Mapping
 
 import numpy as np
 
@@ -158,30 +157,46 @@ def run_scenery(
 # window measures over symbol words
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class BlockTable:
-    """Empirical block frequencies of a shift window, lengths 1..depth.
+    """Empirical block counts of a shift window, lengths 1..depth.
 
-    Prefix marginals are exact: the length-(b-1) table is the first-symbol
-    marginal of the length-b table, because both average the same shifts.
+    ``counts[b - 1][r]`` is the number of the window's ``width`` shifts that
+    start the length-b block of rank r, and ``symbols[r]`` is the symbol of
+    length-1 rank r.  Ranks ascend in the lexicographic order of their
+    blocks, the three tables of one word share them, and a rank no shift of
+    the window takes counts 0.  Prefix
+    marginals are exact: the length-(b-1) counts are the first-symbol
+    marginal of the length-b counts, because both count the same shifts.
+    Sums over a table are ``math.fsum``, correctly rounded, so no order of
+    the ranks reaches their bits.
     """
 
-    depth: int
-    tables: Mapping[int, Mapping[tuple[int, ...], float]]
+    width: int
+    symbols: np.ndarray
+    counts: tuple[np.ndarray, ...]
+
+    @property
+    def depth(self) -> int:
+        return len(self.counts)
+
+    def frequencies(self) -> dict[int, float]:
+        """``count / width`` of each symbol that occurs, in ascending order."""
+        at = np.flatnonzero(self.counts[0])
+        return dict(zip(self.symbols[at].tolist(), (self.counts[0][at] / self.width).tolist()))
 
     def vector(self, alphabet: tuple[int, ...]) -> np.ndarray:
-        t1 = self.tables[1]
-        return np.array([t1.get((a,), 0.0) for a in alphabet])
+        freq = self.frequencies()
+        return np.array([freq.get(a, 0.0) for a in alphabet])
 
     def entropy(self, b: int) -> float:
         if b < 1:
             raise ValueError(f"block length must be >= 1, got {b}")
         if b > self.depth:
             raise BlockTooDeep(f"table depth {self.depth} < requested block {b}")
-        probs = np.array([p for p in self.tables[b].values() if p > 0.0])
-        if len(probs) == 0:
-            return 0.0
-        return float(-(probs * np.log(probs)).sum())
+        counts = self.counts[b - 1]
+        probs = counts[counts > 0] / self.width
+        return -math.fsum((probs * np.log(probs)).tolist()) + 0.0  # + 0.0 drops negative zero
 
     def rate_curve(self) -> list[float]:
         """Block entropy over block length, for each available length."""
@@ -206,37 +221,23 @@ def _dense_ranks(codes: np.ndarray, size: int) -> tuple[np.ndarray, np.ndarray]:
     return ranks, present
 
 
-def _least(ranks: np.ndarray, at: np.ndarray, size: int, none: int) -> np.ndarray:
-    """Least ``at`` of each rank in [0, size), or ``none`` where the rank does not occur."""
-    least = np.full(size, none)
-    np.minimum.at(least, ranks, at)
-    return least
-
-
 def _window_tables(
     word: SymbolWord, n_steps: int, split: int, depth: int
 ) -> tuple[BlockTable, BlockTable, BlockTable]:
     """Block tables of shifts [1, split], [split + 1, N] and [1, N], in one pass.
 
     Each length-b block of [1, N] gets an integer code: its length-(b-1)
-    prefix's code times n, plus its last symbol, so a code divided by n is
-    its prefix's code.  A length's code space is the shorter length's times
-    n.  Only when the next length's space would exceed 4 N does
-    ``_dense_ranks`` compact a length's codes to their ranks among its K_b
-    distinct codes, in ascending order, so the space of the next length is
-    K_b * n.  Spaces stay below max(4 N, N * n), and the codes are exact
-    int64 at every length.  Blocks are counted only at ``depth``: every
-    length counts the same N shifts, so a shorter block's count is the sum
-    of its extensions' counts and its first occurrence their minimum, and
-    each shorter table is that marginal, in exact integers; codes that no
-    block takes count 0 and stay out of the tables.  ``eta``'s counts are
-    ``rho``'s less ``nu``'s, as the two partial windows split [1, N].
-
-    Each table's keys are the blocks as tuples of the word's symbols, in
-    order of first occurrence within its own window, which fixes the
-    summation order of ``BlockTable.entropy``.  ``nu``'s window is a prefix
-    of ``rho``'s, so its order is ``rho``'s restricted to its blocks;
-    ``eta`` takes its own first occurrences.
+    prefix's rank times n, plus its last symbol, so a code divided by n is
+    its prefix's rank.  A length's ranks are its codes while the next
+    length's code space stays within 4 N; past that, ``_dense_ranks``
+    compacts them to their ranks among the K_b distinct codes, in
+    ascending order, so the next space is K_b * n.  Spaces stay below
+    max(4 N, N * n), and the codes are exact int64 at every length.
+    Blocks are counted only at ``depth``: every length counts the same N
+    shifts, so a shorter block's count is the sum of its extensions'
+    counts, and each shorter table is that marginal, in exact integers.
+    ``eta``'s counts are ``rho``'s less ``nu``'s, as the two partial
+    windows split [1, N].
 
     Assumes a counting rank's flag table, one entry per code of the space,
     fits: it is used only while the space is at most 4 N, and a larger
@@ -246,60 +247,43 @@ def _window_tables(
     n = word.alphabet_size
     limit = _COUNT_TABLE_PER_SHIFT * n_steps
     arr = word.array[1 : n_steps + depth]
-    # parents[b - 1][c]: code of the prefix of the length-b block of code c
-    codes, size, parents = np.zeros(n_steps, dtype=np.int64), 1, []
+    # spaces[b - 1][r]: the code that length-b rank r stands for, ascending
+    codes, size, spaces = np.zeros(n_steps, dtype=np.int64), 1, []
     for b in range(1, depth + 1):
         codes = codes * n + arr[b - 1 : b - 1 + n_steps]
         size *= n
         if size * n > limit:  # the next length's space would pass the limit
-            codes, present = _dense_ranks(codes, size)
-            parents.append(present // n)
-            size = len(present)
+            codes, space = _dense_ranks(codes, size)
+            size = len(space)
         else:
-            parents.append(np.arange(size) // n)
-    where = np.arange(n_steps)
-    counts = np.bincount(codes, minlength=size)
-    early = np.bincount(codes[:split], minlength=size)
-    first = _least(codes, where, size, n_steps)
-    late_first = _least(codes[split:], where[split:], size, n_steps)
-
-    def table(b: int, at: np.ndarray, counts: np.ndarray, width: int) -> dict:
-        return {
-            tuple(arr[i : i + b].tolist()): cnt / width
-            for i, cnt in zip(at.tolist(), counts.tolist())
-        }
-
-    nu: dict[int, dict[tuple[int, ...], float]] = {}
-    eta: dict[int, dict[tuple[int, ...], float]] = {}
-    rho: dict[int, dict[tuple[int, ...], float]] = {}
-    for b in range(depth, 0, -1):
-        late = counts - early
-        order = np.argsort(first)[: np.count_nonzero(counts)]
-        rho[b] = table(b, first[order], counts[order], n_steps)
-        order = order[first[order] < split]
-        nu[b] = table(b, first[order], early[order], split)
-        order = np.argsort(late_first)[: np.count_nonzero(late)]
-        eta[b] = table(b, late_first[order], late[order], n_steps - split)
-        if b > 1:  # the length-(b-1) marginals; float64 sums of counts <= N are exact
-            up, size = parents[b - 1], len(parents[b - 2])
-            counts = np.bincount(up, weights=counts, minlength=size).astype(np.int64)
-            early = np.bincount(up, weights=early, minlength=size).astype(np.int64)
-            first = _least(up, first, size, n_steps)
-            late_first = _least(up, late_first, size, n_steps)
-    return tuple(BlockTable(depth=depth, tables=dict(reversed(t.items()))) for t in (nu, eta, rho))
+            space = np.arange(size)
+        spaces.append(space)
+    rho = [np.bincount(codes, minlength=size)]
+    nu = [np.bincount(codes[:split], minlength=size)]
+    # the length-(b-1) marginals; float64 sums of counts <= N are exact
+    for b in range(depth, 1, -1):
+        up, size = spaces[b - 1] // n, len(spaces[b - 2])
+        rho.append(np.bincount(up, weights=rho[-1], minlength=size).astype(np.int64))
+        nu.append(np.bincount(up, weights=nu[-1], minlength=size).astype(np.int64))
+    rho, nu = tuple(rho[::-1]), tuple(nu[::-1])
+    eta = tuple(r - e for r, e in zip(rho, nu))
+    symbols = spaces[0]  # a length-1 code is its symbol
+    return (
+        BlockTable(width=split, symbols=symbols, counts=nu),
+        BlockTable(width=n_steps - split, symbols=symbols, counts=eta),
+        BlockTable(width=n_steps, symbols=symbols, counts=rho),
+    )
 
 
 def _residual_tv(nu: BlockTable, eta: BlockTable, rho: BlockTable, theta: float, b: int) -> float:
     """Total variation between ``rho`` and the theta-mix of ``nu`` and ``eta`` on length-b blocks.
 
-    The sum runs in the iteration order of the key sets built here, so
-    these set expressions fix the bits of the result.
+    Taken rank by rank where ``rho``'s count is nonzero: where it is 0, so
+    are ``nu``'s and ``eta``'s.
     """
-    t_nu, t_eta, t_rho = nu.tables[b], eta.tables[b], rho.tables[b]
-    keys = set(t_nu) | set(t_eta)
-    mixed = {k: theta * t_nu.get(k, 0.0) + (1.0 - theta) * t_eta.get(k, 0.0) for k in keys}
-    keys = set(t_rho) | set(mixed)
-    return 0.5 * sum(abs(t_rho.get(k, 0.0) - mixed.get(k, 0.0)) for k in keys)
+    at = np.flatnonzero(rho.counts[b - 1])
+    nu_p, eta_p, rho_p = (t.counts[b - 1][at] / t.width for t in (nu, eta, rho))
+    return 0.5 * math.fsum(np.abs(rho_p - (theta * nu_p + (1.0 - theta) * eta_p)).tolist())
 
 
 @dataclass(frozen=True)
@@ -317,7 +301,7 @@ class EmpiricalTriple:
 
     def to_dict(self) -> dict:
         def vec(t: BlockTable) -> dict:
-            return {",".join(map(str, k)): v for k, v in sorted(t.tables[1].items())}
+            return {str(s): p for s, p in t.frequencies().items()}
 
         return {
             "kind": "linear",

@@ -550,13 +550,14 @@ def test_scenery_empty_slice(example_file, capsys):
 # digests were recorded from the scenery implementation that counted blocks
 # with a Counter over tuple slices and copied the word on every shift, before
 # the numpy block tables and shared-tuple words replaced it; every faster
-# scenery path must reproduce these bytes.  The 5x3 case was recorded from
-# the three-window tables (nu, eta and rho each counted on its own), before
-# one count over [1, N] replaced them: with n = 3 and --block 8 the key order
-# of every table reaches the report through h_nu, h_eta and h_rate_curve.
-# The 99,000-step case, a benchmark-sized command, was recorded while every
-# block length was still ranked by its own sort, before the tables were
-# counted once at the deepest length and marginalized down.
+# scenery path must reproduce these bytes.  The last three chain digests were
+# re-recorded when the block entropies became ``math.fsum`` sums over count
+# arrays, by running each command as ``python -m carpetlab scenery ARGV --out
+# out`` (the 5x3 carpet written from SPARSE_5X3) and hashing
+# ``out/chain.json`` with ``sha256sum``: only the last bits of
+# ``h_rate_curve`` and ``h_rate_estimate`` moved, by at most 1 ulp, and every
+# orbit digest stayed.  With n = 3 and --block 8 the 5x3 case reads
+# ``h_nu``, ``h_eta`` and eight lengths of ``h_rate_curve``.
 SPARSE_5X3 = "# 5x3 test carpet\n5 3\n0 0\n2 0\n4 0\n1 1\n3 1\n2 2\n"
 
 
@@ -572,21 +573,21 @@ SPARSE_5X3 = "# 5x3 test carpet\n5 3\n0 0\n2 0\n4 0\n1 1\n3 1\n2 2\n"
         (
             ["--carpet", "example.txt", "--u0", "0.37", "--t", "0.21", "--steps", "20000"],
             14,
-            "c528d1aaf45e16e52b2841194f6ea1bb8cae0df40d9826ef303ee8778b745f62",
+            "c761326f31e6ea3e7ba85a4483be331f3aabf79298835e63dce07ca78fbfdd2d",
             "87d8868f18d5e7a8b28d4a5fc777fda221cc12d61d39843c6c90b8cb71077407",
         ),
         (
             ["--carpet", "sparse_5x3.txt", "--u0", "0.41", "--t", "0.13", "--steps", "3000"]
             + ["--depths", "4..8", "--block", "8"],
             9,
-            "26a33e8eba8b9c275c8a687c0b7506640d4c080e6d2bc30cefdb3b958db1c6fc",
+            "fd4e3b4a008bcee70018c6f574e7ccc41be50692696851ba78f1ebaea37df0b8",
             "62175aa1106a89eb547acb6e6a6b1c0f38584b0cbeb83d2911c3f3b4a81eb64f",
         ),
         (
             ["--carpet", "example.txt", "--slope", "0.72", "--t", "-0.72", "--steps", "99000"]
             + ["--depths", "4..10"],
             12,
-            "5010406ac180a47ed56b776b433b97ffe3a290d13cb6db78fbbc3eed3d743878",
+            "5fa020523f190468704e0f26cb3ba95da40919c3da83259a98e73eb2ecabb1e9",
             "d58b62e030f744c435076356b13cc86d913a03d94567de1fa522480e1d555653",
         ),
     ],
@@ -605,6 +606,19 @@ def test_scenery_bytes_pinned(tmp_path, capsys, argv, exhausted_at, chain_sha, o
     assert sha(captured.out.encode()) == chain_sha
     assert sha((out / "chain.json").read_bytes()) == chain_sha
     assert sha((out / "orbit.jsonl").read_bytes()) == orbit_sha
+
+
+def test_scenery_one_row_carpet_zero_entropy(tmp_path, capsys):
+    # a one-row carpet's vertical word is constant: one block at every
+    # length, whose entropy is 0.0, not -0.0
+    carpet = tmp_path / "onerow.txt"
+    carpet.write_text("3 2\n0 0\n2 0\n")
+    argv = ["--carpet", str(carpet), "--slope", "0.001", "--steps", "200", "--depths", "4..8"]
+    assert main(["scenery", *argv]) == 6
+    out = capsys.readouterr().out
+    payload = json.loads(out)
+    assert payload["h_rate_curve"] == [0.0] * 6 and payload["h_rate_estimate"] == 0.0
+    assert "-0.0" not in out
 
 
 # sha256 of stdout and of every --out file for the other README commands.

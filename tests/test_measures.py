@@ -80,12 +80,13 @@ def test_grid_partition_int64_cut(rng):
 
 def reference_entropy(points, weights, part: GridPartition) -> tuple[float, int]:
     """Entropy with each cell's mass summed in atom order and the cells read
-    out in sorted (ix, iy) order, the summation order ``entropy`` promises."""
+    out in sorted (ix, iy) order, the summation order ``entropy`` promises.
+    The last row and column are closed: 1.0 lies in the cell scale - 1."""
     scale = part.base**part.level
     masses: dict[tuple[int, int], float] = {}
     for (x, y), w in zip(points.tolist(), weights.tolist()):
         if w > 0.0:
-            key = (math.floor(x * scale), math.floor(y * scale))
+            key = (min(math.floor(x * scale), scale - 1), min(math.floor(y * scale), scale - 1))
             masses[key] = masses.get(key, 0.0) + w
     cells = np.array([masses[key] for key in sorted(masses)])
     h = float(-(cells * np.log(cells)).sum()) if len(cells) else 0.0
@@ -148,12 +149,14 @@ def test_entropy_small_cloud_edges(points, weights, part):
 def test_entropy_counting_cut(rng, monkeypatch, base, level, atoms, counted):
     # a grid of scale**2 cells is counted while scale**2 <= 4 * atoms and
     # sorted past that; both sides must keep the summation order.  Atoms
-    # on the edge 1.0 take the index ``scale``, so a key ix * scale + iy
-    # would merge (0.5, 1.0) with (0.625, 0.0) at scales 8 and 9
+    # on the edge 1.0 take the last index, scale - 1, so the key
+    # ix * scale + iy keeps (0.5, 1.0) and (0.625, 0.0) apart at scales 8
+    # and 9, and (1.0, 1.0) shares the closed last cell with (0.99, 0.99)
     sorts = []
     lexsort = np.lexsort
     monkeypatch.setattr(np, "lexsort", lambda *a, **k: sorts.append(1) or lexsort(*a, **k))
-    distinct = np.vstack([[[0.5, 1.0], [0.625, 0.0], [1.0, 1.0], [1.0, 0.0]], rng.random((3, 2))])
+    edges = [[0.5, 1.0], [0.625, 0.0], [1.0, 1.0], [1.0, 0.0], [0.99, 0.99]]
+    distinct = np.array(edges + [[0.3, 0.45], [0.05, 0.7]])
     points = distinct[np.arange(atoms) % len(distinct)]
     weights = rng.random(atoms) * 10.0 ** rng.integers(-12, 1, atoms)
     mu = DiscreteMeasure(points, weights / weights.sum())
@@ -161,8 +164,19 @@ def test_entropy_counting_cut(rng, monkeypatch, base, level, atoms, counted):
     rep = entropy(mu, part)
     h, count = reference_entropy(mu.points, mu.weights, part)
     assert rep.entropy.hex() == h.hex()
-    assert rep.cell_count == count == len(distinct)
+    assert rep.cell_count == count == len(distinct) - 1
     assert (len(sorts) == 0) == counted
+
+
+@pytest.mark.parametrize("level,cells", [(0, 1), (1, 1), (2, 2)])
+def test_entropy_edge_coordinate_in_last_cell(level, cells):
+    # 1.0 lies in the closed last row and column, not in a cell of its own
+    part = GridPartition(2, level)
+    assert part.cell_indices(np.array([[0.0, 1.0]])).tolist() == [[0, 2**level - 1]]
+    mu = DiscreteMeasure([[0.5, 0.5], [1.0, 1.0]], [0.5, 0.5])
+    rep = entropy(mu, part)
+    assert rep.cell_count == cells
+    assert rep.entropy.hex() == reference_entropy(mu.points, mu.weights, part)[0].hex()
 
 
 # -- conditioning --

@@ -57,9 +57,12 @@ def orbit_state(m, n, u0, steps):
     )
 
 
-def make_triple(c, nu_vec, eta_vec, depth=1):
+def make_triple(c, nu_vec, eta_vec, width=2**50):
+    """Length-1 tables whose frequencies are the vectors to within 1 / width."""
+
     def table(vec):
-        return BlockTable(depth=depth, tables={1: {(j,): p for j, p in zip(c.rows, vec) if p > 0}})
+        counts = np.rint(np.asarray(vec) * width).astype(np.int64)
+        return BlockTable(width=int(counts.sum()), symbols=np.array(c.rows), counts=(counts,))
 
     nu, eta = table(nu_vec), table(eta_vec)
     rho = table([c.theta * a + (1 - c.theta) * b for a, b in zip(nu_vec, eta_vec)])
@@ -291,7 +294,8 @@ def test_linear_windows_constant_word(example):
     word = SymbolWord(2, (1,) * (n + 8))
     triple = empirical_measures_linear(word, n, theta, block=4)
     for table in (triple.nu, triple.eta, triple.rho):
-        assert table.tables[1] == {(1,): 1.0}
+        assert table.frequencies() == {1: 1.0}
+        assert [table.entropy(b).hex() for b in range(1, 5)] == [(0.0).hex()] * 4
     split = math.floor(n * theta)
     assert triple.residual_tv <= abs(split / n - theta) + 1e-12
 
@@ -311,36 +315,67 @@ def test_linear_windows_word_too_short(example):
         empirical_measures_linear(SymbolWord(2, (0,) * 50), 100, example.theta)
 
 
+def counter_counts(symbols, start, stop, depth):
+    """Reference block counts: a Counter of the length-b blocks of shifts [start, stop], per b."""
+    shifts = range(start, stop + 1)
+    return [Counter(symbols[i : i + b] for i in shifts) for b in range(1, depth + 1)]
+
+
+def reference_entropy(counts, width):
+    """-fsum of p log p over a Counter's counts, in its own order."""
+    probs = np.array([cnt / width for cnt in counts.values()])
+    return -math.fsum((probs * np.log(probs)).tolist()) + 0.0
+
+
+def reference_residual(ref_nu, ref_eta, ref_rho, widths, theta):
+    """Total variation over the blocks of [1, N], block by block."""
+    w_nu, w_eta, w_rho = widths
+    mixed = {k: theta * (ref_nu[k] / w_nu) + (1.0 - theta) * (ref_eta[k] / w_eta) for k in ref_rho}
+    return 0.5 * math.fsum(abs(ref_rho[k] / w_rho - mixed[k]) for k in ref_rho)
+
+
+def assert_same_windows(triple, symbols):
+    """Each one-pass table holds its own window's Counter counts, exactly.
+
+    The ranks of a length ascend in the lexicographic order of its blocks
+    and are shared by the three tables, so rho's nonzero ranks, in order,
+    are the sorted blocks of [1, N].
+    """
+    n_steps, split, depth = triple.index, triple.window_nu[1], triple.rho.depth
+    windows = {"nu": (1, split), "eta": (split + 1, n_steps), "rho": (1, n_steps)}
+    refs = {name: counter_counts(symbols, lo, hi, depth) for name, (lo, hi) in windows.items()}
+    tables = {"nu": triple.nu, "eta": triple.eta, "rho": triple.rho}
+    for name, (lo, hi) in windows.items():
+        assert tables[name].width == hi - lo + 1 and tables[name].depth == depth
+        assert tables[name].symbols is triple.rho.symbols
+    occurring = np.flatnonzero(triple.rho.counts[0])
+    assert triple.rho.symbols[occurring].tolist() == [k for (k,) in sorted(refs["rho"][0])]
+    for b in range(1, depth + 1):
+        occurring = np.flatnonzero(triple.rho.counts[b - 1])
+        blocks = sorted(refs["rho"][b - 1])
+        for name, table in tables.items():
+            counts, ref = table.counts[b - 1], refs[name][b - 1]
+            assert counts.dtype == np.int64
+            assert counts[occurring].tolist() == [ref[k] for k in blocks]
+            assert not np.delete(counts, occurring).any()
+            assert table.entropy(b).hex() == reference_entropy(ref, table.width).hex()
+    for name, table in tables.items():
+        assert table.rate_curve() == [table.entropy(b) / b for b in range(1, depth + 1)]
+        ref = {k: cnt / table.width for (k,), cnt in sorted(refs[name][0].items())}
+        assert table.frequencies() == ref and list(table.frequencies()) == list(ref)
+    widths = (split, n_steps - split, n_steps)
+    residual = reference_residual(*(refs[name][-1] for name in tables), widths, triple.theta)
+    assert triple.residual_tv.hex() == residual.hex()
+
+
 def test_block_tables_prefix_consistent(rng, example):
+    # the length-(b-1) counts are the first-symbol marginal of the length-b ones
     symbols = tuple(int(s) for s in rng.choice(example.rows, size=400))
     word = SymbolWord(2, symbols)
     triple = empirical_measures_linear(word, 300, example.theta, block=5)
+    assert_same_windows(triple, symbols)
     for table in (triple.nu, triple.eta, triple.rho):
-        for b in range(2, 6):
-            marginal = {}
-            for w, p in table.tables[b].items():
-                marginal[w[:-1]] = marginal.get(w[:-1], 0.0) + p
-            for w, p in table.tables[b - 1].items():
-                assert abs(marginal.get(w, 0.0) - p) < 1e-12
-
-
-def counter_table(symbols, start, stop, depth):
-    """Reference block table: a Counter over every window, keys in first-seen order."""
-    width = stop - start + 1
-    tables = {}
-    for b in range(1, depth + 1):
-        counts = Counter(symbols[i : i + b] for i in range(start, stop + 1))
-        tables[b] = {w: cnt / width for w, cnt in counts.items()}
-    return BlockTable(depth=depth, tables=tables)
-
-
-def assert_same_table(got, ref):
-    assert got.depth == ref.depth
-    for b in range(1, ref.depth + 1):
-        assert list(got.tables[b].items()) == list(ref.tables[b].items())
-        assert all(type(s) is int for key in got.tables[b] for s in key)
-        assert got.entropy(b) == ref.entropy(b)  # bit-equal: same summation order
-    assert got.rate_curve() == ref.rate_curve()
+        assert all(int(counts.sum()) == table.width for counts in table.counts)
 
 
 def noisy_periodic(rng, n, length, period, flips):
@@ -352,23 +387,6 @@ def noisy_periodic(rng, n, length, period, flips):
     return tuple(int(s) for s in word)
 
 
-def three_pass_residual(symbols, n_steps, theta, block):
-    """Reference residual: three separate windows, mixed at every level, compared at ``block``."""
-    split = math.floor(n_steps * theta)
-    nu = counter_table(symbols, 1, split, block)
-    eta = counter_table(symbols, split + 1, n_steps, block)
-    rho = counter_table(symbols, 1, n_steps, block)
-    mixed = {}
-    for b in range(1, block + 1):
-        keys = set(nu.tables[b]) | set(eta.tables[b])
-        mixed[b] = {
-            k: theta * nu.tables[b].get(k, 0.0) + (1.0 - theta) * eta.tables[b].get(k, 0.0)
-            for k in keys
-        }
-    keys = set(rho.tables[block]) | set(mixed[block])
-    return 0.5 * sum(abs(rho.tables[block].get(k, 0.0) - mixed[block].get(k, 0.0)) for k in keys)
-
-
 def linear_tables(n, symbols, n_steps, split, depth):
     """``empirical_measures_linear`` with theta chosen so that floor(N theta) == split."""
     triple = empirical_measures_linear(
@@ -376,15 +394,6 @@ def linear_tables(n, symbols, n_steps, split, depth):
     )
     assert triple.window_nu == (1, split)
     return triple
-
-
-def assert_same_windows(triple, symbols):
-    """Each one-pass table equals its own window's Counter table; the residual is bit-equal."""
-    n_steps, split, depth = triple.index, triple.window_nu[1], triple.rho.depth
-    assert_same_table(triple.nu, counter_table(symbols, 1, split, depth))
-    assert_same_table(triple.eta, counter_table(symbols, split + 1, n_steps, depth))
-    assert_same_table(triple.rho, counter_table(symbols, 1, n_steps, depth))
-    assert triple.residual_tv == three_pass_residual(symbols, n_steps, triple.theta, depth)
 
 
 @pytest.mark.parametrize("n", [2, 3, 5, 11])
@@ -400,6 +409,41 @@ def test_window_table_matches_counter(rng, n):
         assert_same_windows(linear_tables(n, symbols, n_steps, split, depth), symbols)
 
 
+@pytest.mark.parametrize("n,depth,theta", [(2, 6, 0.91), (3, 6, 0.37), (4, 4, 0.91)])
+def test_window_sums_ignore_rank_order(rng, n, depth, theta):
+    # entropies and the residual are math.fsum sums, correctly rounded, so
+    # permuting the ranks of every length, alike in the three tables,
+    # leaves their bits as they are
+    symbols = tuple(int(s) for s in rng.integers(0, n, size=156 + depth))
+    triple = empirical_measures_linear(SymbolWord(n, symbols), 156, theta, block=depth)
+
+    def bits(nu, eta, rho):
+        entropies = [t.entropy(b).hex() for t in (nu, eta, rho) for b in range(1, depth + 1)]
+        return entropies, scenery._residual_tv(nu, eta, rho, theta, depth).hex()
+
+    kept = bits(triple.nu, triple.eta, triple.rho)
+    assert kept[1] == triple.residual_tv.hex()
+    plain = set()
+    for _ in range(10):
+        perms = [rng.permutation(len(counts)) for counts in triple.rho.counts]
+        nu, eta, rho = (
+            BlockTable(
+                width=t.width,
+                symbols=t.symbols[perms[0]],
+                counts=tuple(counts[perm] for counts, perm in zip(t.counts, perms)),
+            )
+            for t in (triple.nu, triple.eta, triple.rho)
+        )
+        assert bits(nu, eta, rho) == kept
+        assert nu.vector(tuple(range(n))).tolist() == triple.nu.vector(tuple(range(n))).tolist()
+        at = np.flatnonzero(rho.counts[-1])
+        p_nu, p_eta, p_rho = (t.counts[-1][at] / t.width for t in (nu, eta, rho))
+        terms = np.abs(p_rho - (theta * p_nu + (1.0 - theta) * p_eta))
+        plain.add((sum((p_rho * np.log(p_rho)).tolist()), sum(terms.tolist())))
+    # a plain sum of the same terms, in rank order, does move with the order here
+    assert len({h for h, _ in plain}) > 1 and len({tv for _, tv in plain}) > 1
+
+
 @pytest.mark.parametrize("n,depth", [(2, 70), (3, 45), (1000, 30)])
 def test_window_table_exact_past_int64_codes(rng, n, depth):
     # a plain base-n code of a length-b block would fit int64 only while
@@ -410,7 +454,7 @@ def test_window_table_exact_past_int64_codes(rng, n, depth):
     for n_steps, split in ((399, 200), (250, 17)):
         triple = linear_tables(n, symbols, n_steps, split, depth)
         assert_same_windows(triple, symbols)
-        assert 1 < len(triple.rho.tables[cut + 1]) < n_steps
+        assert 1 < np.count_nonzero(triple.rho.counts[cut]) < n_steps
 
 
 @pytest.mark.parametrize(
@@ -427,7 +471,7 @@ def test_window_table_exact_past_int64_codes(rng, n, depth):
 def test_window_table_counts_or_sorts(rng, monkeypatch, n, n_steps, depth, counted, sorted_):
     # a level ranks its codes by counting while its flag table, K_{b-1} * n
     # entries for K_{b-1} distinct shorter blocks, holds at most 4 N, and by
-    # np.unique past that; both sides must give the Counter tables
+    # np.unique past that; both sides must give the Counter counts
     sorts = []
     unique = np.unique
     monkeypatch.setattr(np, "unique", lambda *a, **k: sorts.append(1) or unique(*a, **k))
@@ -436,7 +480,7 @@ def test_window_table_counts_or_sorts(rng, monkeypatch, n, n_steps, depth, count
         sorts.clear()
         triple = linear_tables(n, symbols, n_steps, split, depth)
         assert_same_windows(triple, symbols)
-        distinct = [1] + [len(triple.rho.tables[b]) for b in range(1, depth)]
+        distinct = [1] + [np.count_nonzero(triple.rho.counts[b - 1]) for b in range(1, depth)]
         assert len(sorts) == sum(k * n > 4 * n_steps for k in distinct)
         assert (len(sorts) < depth, len(sorts) > 0) == (counted, sorted_)
 
@@ -452,8 +496,8 @@ def test_window_table_counts_or_sorts(rng, monkeypatch, n, n_steps, depth, count
 )
 def test_window_table_compacts_lazily(rng, monkeypatch, n, n_steps, depth, compactions):
     # codes grow as code * n + symbol and are compacted to ranks only when
-    # the next length's space would exceed 4 N; the tables stay the Counter
-    # tables whether or not a length was compacted
+    # the next length's space would exceed 4 N; the counts stay the Counter
+    # counts whether or not a length was compacted
     calls = []
     dense_ranks = scenery._dense_ranks
     monkeypatch.setattr(
@@ -466,12 +510,14 @@ def test_window_table_compacts_lazily(rng, monkeypatch, n, n_steps, depth, compa
 
 
 def test_window_table_edges():
-    # the late window (1, 0) meets its blocks in the other order than [1, N]
+    # the late window (1, 0) meets its blocks in the other order than [1, N];
+    # every table reads its symbols in ascending order all the same
     symbols = (0, 0, 1, 1, 0, 0)
     triple = linear_tables(2, symbols, 4, 2, 2)
     assert_same_windows(triple, symbols)
-    assert list(triple.rho.tables[1]) == [(0,), (1,)]
-    assert list(triple.eta.tables[1]) == [(1,), (0,)]
+    assert triple.rho.frequencies() == triple.eta.frequencies() == {0: 0.5, 1: 0.5}
+    assert list(triple.eta.frequencies()) == [0, 1]
+    assert triple.to_dict()["eta"] == {"0": 0.5, "1": 0.5}
     # the shortest windows: one shift each
     assert_same_windows(linear_tables(2, symbols, 2, 1, 1), symbols)
     with pytest.raises(WordTooShort):

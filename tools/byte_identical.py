@@ -34,8 +34,6 @@ import sys
 import tempfile
 from pathlib import Path
 
-sys.dont_write_bytecode = True
-
 README_EXAMPLES = (
     "analyze  --carpet carpets/example.txt",
     "slice    --carpet carpets/example.txt --u0 0.4 --t 0.2 --depths 4..12",
@@ -69,6 +67,7 @@ def main(argv=None) -> int:
     p = argparse.ArgumentParser(description=__doc__.split("\n\n")[0])
     p.add_argument("--root", type=Path, default=Path(__file__).resolve().parents[1])
     root = p.parse_args(argv).root.resolve()
+    sys.dont_write_bytecode = True  # leave no __pycache__ in the checkout
     sys.path[:0] = [str(root / "src"), str(root / "perfbench")]
     import run
     import workloads
