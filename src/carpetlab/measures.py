@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import functools
 import math
 from dataclasses import dataclass
 from typing import Iterable
@@ -14,8 +15,16 @@ from .symbolic import ApproxSquare
 MASS_TOL = 1e-12
 MIN_ATOM_WEIGHT = 1e-300  # below this, conditioning drops the atom outright
 BELOW_ONE = np.nextafter(1.0, 0.0)  # rescaled coordinates are clamped into [0, BELOW_ONE]
+_BELOW_ONE = float(BELOW_ONE)
 # _locate's range as longdouble scalars: a Python float bound would be converted on every call
 _LD_ZERO, _LD_ONE = np.longdouble(0), np.longdouble(1)
+# np.longdouble(int) costs about as much as the rest of a one-atom locate, and
+# a magnification step's scales and digit indices repeat, so the immutable
+# scalars are kept, at most 4096 of them
+_to_longdouble = functools.lru_cache(maxsize=4096)(np.longdouble)
+# the weights of every conditioned one-atom measure, w / w; read-only, so shared
+_UNIT_WEIGHT = np.ones(1)
+_UNIT_WEIGHT.setflags(write=False)
 # a counted grid's mass table may hold this many cells per atom; past that a
 # sort groups the atoms, so memory stays bounded
 _COUNT_TABLE_PER_ATOM = 4
@@ -48,6 +57,15 @@ class DiscreteMeasure:
         wts.setflags(write=False)
         self.points = pts
         self.weights = wts
+
+    @classmethod
+    def _trusted(cls, points: np.ndarray, weights: np.ndarray) -> "DiscreteMeasure":
+        """A measure on read-only float64 arrays of shapes (N, 2) and (N,) that
+        the caller built valid, with no copy and no check."""
+        mu = object.__new__(cls)
+        mu.points = points
+        mu.weights = weights
+        return mu
 
     def __len__(self) -> int:
         return len(self.weights)
@@ -114,15 +132,26 @@ class EntropyReport:
 
 
 def entropy(mu: DiscreteMeasure, part: GridPartition) -> EntropyReport:
-    """Shannon entropy (nats) of the cell masses of ``mu``."""
+    """Shannon entropy (nats) of the cell masses of ``mu``.
+
+    A normalized one-atom measure has one positive weight w in one cell, so
+    its points are not masked or grouped: h is -(w * log w) on the numpy
+    scalar w, the same ``np.log`` and the same product as the array sum of
+    one term, and so the same bits.
+    """
     mu.require_normalized()
-    mask = mu.weights > 0.0
-    masses = _aggregate(mu.points[mask], mu.weights[mask], part)
-    h = float(-(masses * np.log(masses)).sum()) if len(masses) else 0.0
+    if len(mu.weights) == 1:
+        w = mu.weights[0]
+        h, cells = float(-(w * np.log(w))), 1
+    else:
+        mask = mu.weights > 0.0
+        masses = _aggregate(mu.points[mask], mu.weights[mask], part)
+        h = float(-(masses * np.log(masses)).sum()) if len(masses) else 0.0
+        cells = len(masses)
     h = max(h, 0.0) + 0.0  # clamp rounding noise; + 0.0 drops negative zero
     log_side = part.norm_log
     norm = h / log_side if log_side > 0.0 else 0.0
-    return EntropyReport(entropy=h, cell_count=len(masses), normalized=norm)
+    return EntropyReport(entropy=h, cell_count=cells, normalized=norm)
 
 
 def _aggregate(points: np.ndarray, weights: np.ndarray, part: GridPartition) -> np.ndarray:
@@ -154,10 +183,16 @@ def _aggregate(points: np.ndarray, weights: np.ndarray, part: GridPartition) -> 
     return sums[sums > 0.0]
 
 
-def _locate(mu: DiscreteMeasure, sq: ApproxSquare) -> tuple[np.ndarray, np.ndarray]:
+def _locate(
+    mu: DiscreteMeasure, sq: ApproxSquare
+) -> tuple[np.ndarray | bool, np.ndarray | tuple[np.longdouble, np.longdouble]]:
     """Cell membership of the atoms and their (N, 2) offsets in the cell:
     the products with the cell's scales less its index pair, in
-    ``np.longdouble``.
+    ``np.longdouble``.  A one-atom measure takes the same operations on
+    scalars, with no array: its membership is one bool and its offsets a
+    pair of ``np.longdouble`` scalars.  Each scale and index is converted
+    by ``np.longdouble(int)``, which rounds an int as the array build does,
+    above 2**64 too, and is cached.
 
     An atom is in the cell when both offsets lie in [0, 1), a range test
     that decides ``floor(product) == index`` exactly, without ``floorl``:
@@ -169,6 +204,11 @@ def _locate(mu: DiscreteMeasure, sq: ApproxSquare) -> tuple[np.ndarray, np.ndarr
     has a 64-bit significand (x87 extended, as on x86-64 Linux); where it
     is plain float64, acceptance criterion 6 fails.
     """
+    if len(mu.weights) == 1:
+        ((x, y),) = mu.points.tolist()
+        ox = x * _to_longdouble(sq.x_scale) - _to_longdouble(sq.x_index)
+        oy = y * _to_longdouble(sq.y_scale) - _to_longdouble(sq.y_index)
+        return bool(_LD_ZERO <= ox < _LD_ONE and _LD_ZERO <= oy < _LD_ONE), (ox, oy)
     scales, origin = np.array(
         [[sq.x_scale, sq.y_scale], [sq.x_index, sq.y_index]], dtype=np.longdouble
     )
@@ -191,8 +231,24 @@ def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     ``np.longdouble`` with a 64-bit significand, so that iterating
     single-level zooms agrees with one deep zoom to well below 1e-9 per
     coordinate.
+
+    A one-atom measure takes the same steps on scalars: the weight test,
+    the cast of each offset to float64 and the clamp, which, as
+    ``np.maximum`` does, gives +0.0 for -0.0.  Its new weight is w / w = 1,
+    its ``cell_mass`` is w, and its arrays are built with no copy and no
+    validation pass.
     """
     in_cell, offset = _locate(mu, sq)
+    if len(mu.weights) == 1:
+        w = mu.weights.item()
+        if not (in_cell and w > MIN_ATOM_WEIGHT):
+            raise ZeroMassCell("cell carries no mass")
+        x, y = (_clamp(float(o)) for o in offset)
+        points = np.array([[x, y]])
+        points.setflags(write=False)
+        conditioned = DiscreteMeasure._trusted(points, _UNIT_WEIGHT)
+        conditioned.cell_mass = w
+        return conditioned
     mask = in_cell & (mu.weights > MIN_ATOM_WEIGHT)
     wts = mu.weights[mask]
     if not len(wts):
@@ -209,6 +265,17 @@ def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     else:
         conditioned.cell_mass = float(mu.weights[in_cell].sum())
     return conditioned
+
+
+def _clamp(v: float) -> float:
+    """``np.minimum(np.maximum(v, 0.0), BELOW_ONE)`` for one float.
+
+    Python's ``max(-0.0, 0.0)`` is -0.0, while ``np.maximum`` gives +0.0,
+    so the lower bound is a comparison that sends -0.0 to +0.0 as well.
+    """
+    if v >= _BELOW_ONE:
+        return _BELOW_ONE
+    return v if v > 0.0 else 0.0
 
 
 def finite_scale_dimension(mu: DiscreteMeasure, base: int, levels: Iterable[int]) -> float:

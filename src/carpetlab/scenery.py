@@ -86,7 +86,9 @@ def state_from_cell(
     state = SceneryState(
         mu=mu, x_word=SymbolWord(c.m, digits[:, 0]), y_word=y_word, u=u0, omega=y_word
     )
-    in_cell, _ = _locate(mu, cell)  # the start cell, not conditioned on
+    # the start cell, not conditioned on; a one-atom measure's membership is
+    # one bool, which indexes its weights as a one-entry mask does
+    in_cell, _ = _locate(mu, cell)
     if not np.any(mu.weights[in_cell] > MIN_ATOM_WEIGHT):
         raise ZeroMassCell("cell carries no mass")
     return state

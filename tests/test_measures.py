@@ -62,9 +62,10 @@ def test_entropy_examples():
 
 
 def test_entropy_requires_normalized():
-    mu = DiscreteMeasure([[0.5, 0.5]], [0.7])
-    with pytest.raises(UnnormalizedMeasure):
-        entropy(mu, GridPartition(2, 1))
+    for weight in (0.7, 0.0):
+        mu = DiscreteMeasure([[0.5, 0.5]], [weight])
+        with pytest.raises(UnnormalizedMeasure):
+            entropy(mu, GridPartition(2, 1))
 
 
 def test_grid_partition_int64_cut(rng):
@@ -114,6 +115,20 @@ def test_entropy_summation_order(rng, base, levels):
             h, count = reference_entropy(mu.points, mu.weights, part)
             assert rep.entropy.hex() == h.hex()
             assert rep.cell_count == count
+
+
+@pytest.mark.parametrize("weight", [1.0, 1.0 - 5e-13])
+def test_entropy_one_atom_matches_array_sum(weight):
+    # a one-atom measure skips the mask and the grouping; its entropy keeps
+    # the bits of the array computation, -0.0 cleared for weight 1
+    points = np.array([[-0.0, 1.0]])
+    for part in (GridPartition(2, 0), GridPartition(3, 4), GridPartition(7, 22)):
+        rep = entropy(DiscreteMeasure(points, [weight]), part)
+        h, count = reference_entropy(points, np.array([weight]), part)
+        assert (rep.entropy.hex(), rep.cell_count) == (h.hex(), count)
+        norm = h / part.norm_log if part.level else 0.0
+        assert rep.normalized.hex() == norm.hex()
+    assert h > 0.0 if weight < 1.0 else h.hex() == (0.0).hex()
 
 
 def entropy_edge_cases():
@@ -282,17 +297,29 @@ def edge_coordinates(rng, base: int, depth: int) -> tuple[list[float], list[int]
     return [c for c in coords if 0.0 <= c <= 1.0], sorted(cells)
 
 
+def rescaled_or_none(mu: DiscreteMeasure, sq: ApproxSquare):
+    """The conditioned points, or None where the cell carries no mass."""
+    try:
+        return condition_rescale(mu, sq).points
+    except ZeroMassCell:
+        return None
+
+
 # the scale regimes of the reference test: below 2**53, between 2**53 and
 # 2**64 (in one or both coordinates), and above 2**64
 @pytest.mark.parametrize("m,n,p,k", [(3, 2, 5, 8), (5, 2, 23, 60), (10, 9, 19, 20), (5, 2, 40, 90)])
 def test_locate_range_test_at_cell_edges(rng, m, n, p, k):
     # ``_locate`` decides floor(product) == index by 0 <= product - index < 1;
     # at and beside every edge it must agree with floorl, and the rescaled
-    # points with the column-by-column reference
+    # points with the column-by-column reference.  Each edge point alone, as
+    # a one-atom measure, takes the scalar path: the same decision and the
+    # same offsets as inside the cloud, the same rescaled point, bit for bit,
+    # and ZeroMassCell exactly when it is outside the cell
     xs, x_cells = edge_coordinates(rng, m, p)
     ys, y_cells = edge_coordinates(rng, n, k)
     points = np.array([(x, y) for x in xs for y in ys])
     mu = DiscreteMeasure(points, np.full(len(points), 1.0 / len(points)))
+    atoms = [DiscreteMeasure.point_mass(x, y) for x, y in points.tolist()]
     scales = np.array([m**p, n**k], dtype=np.longdouble)
     hits = 0
     for ix in x_cells:
@@ -300,8 +327,17 @@ def test_locate_range_test_at_cell_edges(rng, m, n, p, k):
             sq = ApproxSquare(index_word(ix, m, p), index_word(iy, n, k))
             origin = np.array([ix, iy], dtype=np.longdouble)
             want = (np.floor(mu.points * scales) == origin).all(axis=1)
-            in_cell, _ = measures._locate(mu, sq)
+            in_cell, offsets = measures._locate(mu, sq)
             assert in_cell.tolist() == want.tolist()
+            located = [measures._locate(atom, sq) for atom in atoms]
+            assert [hit for hit, _ in located] == want.tolist()
+            assert all(type(hit) is bool for hit, _ in located)
+            # equal with equal signs: a longdouble's bytes hold padding
+            alone = np.array([offset for _, offset in located])
+            assert (alone == offsets).all()
+            assert (np.signbit(alone) == np.signbit(offsets)).all()
+            rescaled = [rescaled_or_none(atom, sq) for atom in atoms]
+            assert [r is not None for r in rescaled] == want.tolist()
             if not want.any():
                 with pytest.raises(ZeroMassCell):
                     condition_rescale(mu, sq)
@@ -311,8 +347,30 @@ def test_locate_range_test_at_cell_edges(rng, m, n, p, k):
             # np.clip keeps -0.0 and the clamp of condition_rescale gives +0.0
             ref = two_column_rescale(mu, sq, want) + 0.0
             assert out.points.tobytes() == ref.tobytes()
+            assert np.concatenate([r for r in rescaled if r is not None]).tobytes() == ref.tobytes()
     assert hits >= 4
     assert np.signbit(mu.points).any()  # the -0.0 atoms are in the cloud
+
+
+# x * base**depth rounds, as a longdouble, to within 2**-54 below 1: in the
+# cell [0, 1), but 1.0 in float64.  The double nearest 1/3 gives 1 - 2**-54,
+# a tie that rounds to even; the others were found by a search over the
+# doubles at and beside k / base**depth, k < 3000, for scales between 2**53
+# and 2**64
+@pytest.mark.parametrize(
+    "base,depth,x",
+    [(3, 1, "0x1.5555555555555p-2"), (5, 23, "0x1.82db34012b251p-54"), (10, 19, "0x1.d83c94fb6d2acp-64")],
+)
+def test_condition_rescale_clamps_offset_rounded_up_to_one(base, depth, x):
+    x = float.fromhex(x)
+    sq = ApproxSquare(index_word(0, base, depth), SymbolWord(2, (0,)))
+    atom = DiscreteMeasure.point_mass(x, 0.25)
+    hit, (ox, _) = measures._locate(atom, sq)
+    assert hit and ox < 1 and float(ox) == 1.0
+    alone = condition_rescale(atom, sq)
+    cloud = condition_rescale(DiscreteMeasure([[x, 0.25], [x, 0.3]], [0.5, 0.5]), sq)
+    assert alone.points.tolist() == [[float(measures.BELOW_ONE), 0.5]]
+    assert alone.points.tobytes() == cloud.points[:1].tobytes()
 
 
 def test_condition_rescale_cell_mass_with_light_atoms():
@@ -344,6 +402,18 @@ def test_condition_rescale_cell_mass_with_light_atoms():
     mu = DiscreteMeasure(points, [0.0, 1e-301, 0.0, 1e-301, 0.5, 0.5])
     with pytest.raises(ZeroMassCell):
         condition_rescale(mu, sq)
+
+    # one atom in the cell: light, it carries no mass; heavier, it is the
+    # cell's mass and becomes an atom of weight w / w = 1
+    for light in (1e-301, 0.0):
+        with pytest.raises(ZeroMassCell):
+            condition_rescale(DiscreteMeasure([[0.4, 0.1]], [light]), sq)
+    for w in (0.3, 2e-300, 1.0 - 5e-13):
+        mu = DiscreteMeasure([[0.4, 0.1]], [w])
+        out = condition_rescale(mu, sq)
+        assert out.cell_mass.hex() == w.hex()
+        assert out.weights.tolist() == [1.0]
+        assert out.points.tobytes() == two_column_rescale(mu, sq, [True]).tobytes()
 
 
 # -- finite-scale dimension --

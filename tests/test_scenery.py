@@ -268,6 +268,22 @@ def test_state_from_cell_refuses_a_cell_without_mass(example):
     # one atom just above MIN_ATOM_WEIGHT is enough
     mu = DiscreteMeasure([[0.1, 0.1], *far], [2e-300, 0.5, 0.5])
     assert state_from_cell(example, cell, mu, 0.3, 50).mu is mu
+    # a one-atom measure's membership is one bool: the same decisions
+    for mu in (
+        DiscreteMeasure.point_mass(0.5, 0.25),
+        DiscreteMeasure.point_mass(math.nextafter(1 / 3, 1.0), 0.25),
+        DiscreteMeasure([[0.1, 0.1]], [1e-301]),
+        DiscreteMeasure([[0.1, 0.1]], [0.0]),
+    ):
+        with pytest.raises(ZeroMassCell, match="cell carries no mass"):
+            state_from_cell(example, cell, mu, 0.3, 50)
+    # the double nearest 1/3 lies below it, in the cell
+    for mu in (
+        DiscreteMeasure.point_mass(1 / 3, 0.25),
+        DiscreteMeasure.point_mass(-0.0, 0.25),
+        DiscreteMeasure([[0.1, 0.1]], [2e-300]),
+    ):
+        assert state_from_cell(example, cell, mu, 0.3, 50).mu is mu
 
 
 def test_words_are_read_only_narrow_arrays(example):

@@ -11,7 +11,14 @@ set to the sha256 of its output:
 - each ``dense-sweep``, ``sparse-sweep`` and ``scenery-report`` command of
   the benchmark plans at seeds 1 and 2;
 - ``run_scenery``'s records, phases and ``exhausted_at`` on each
-  ``long-orbit`` plan at seeds 1-3, started as the benchmark starts them.
+  ``long-orbit`` plan at seeds 1-3, started as the benchmark starts them;
+- ``one-atom``: 64 seeded point masses away from the origin, -0.0 and
+  cell-edge coordinates among them, whose digit words are read off each
+  coordinate's exact value.  Each runs ``run_scenery`` to exhaustion or
+  200 steps, and the same orbit is walked by ``magnify_step`` to take the
+  rescaled point's bytes after every step.  The ``long-orbit`` point stays
+  at the origin, so only this item reaches the zoom's arithmetic on a
+  point mass.
 
 A command's digest covers its exit code, stdout, stderr and every file it
 writes under ``--out``.  Commands run as ``python3 -m carpetlab`` in a
@@ -27,11 +34,14 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import math
 import os
+import random
 import shutil
 import subprocess
 import sys
 import tempfile
+from fractions import Fraction
 from pathlib import Path
 
 README_EXAMPLES = (
@@ -45,6 +55,8 @@ DEEP_COMMANDS = ("scenery --carpet carpets/full_3x2.txt --slope 1.0 --steps 1000
 CLI_WORKLOADS = ("dense-sweep", "sparse-sweep", "scenery-report")
 CLI_SEEDS = (1, 2)
 ORBIT_SEEDS = (1, 2, 3)
+ONE_ATOM_STATES = 64
+ONE_ATOM_STEPS = 200
 
 
 def run_command(root: Path, cwd: Path, argv: list[str]) -> str:
@@ -60,6 +72,69 @@ def run_command(root: Path, cwd: Path, argv: list[str]) -> str:
     for path in sorted(out.rglob("*")) if out.exists() else ():
         data = path.read_bytes()
         digest.update(f"{path.relative_to(out)} {len(data)}\n".encode() + data)
+    return digest.hexdigest()
+
+
+def exact_digits(x: float, base: int, count: int) -> list[int]:
+    """The first ``count`` base-``base`` digits of the double ``x`` in [0, 1)."""
+    frac, digits = Fraction(x), []
+    for _ in range(count):
+        d, frac = divmod(frac * base, 1)
+        digits.append(int(d))
+    return digits
+
+
+def one_atom_coordinate(rng: random.Random, base: int) -> float:
+    """-0.0, a uniform double, or the double nearest a cell edge k / base**p
+    or one beside it; never 1.0, which has no digit word."""
+    kind = rng.randrange(4)
+    if kind == 0:
+        return -0.0
+    if kind == 1:
+        return rng.random()
+    scale = base ** rng.randrange(1, 40)
+    edge = float(Fraction(rng.randrange(1, scale), scale))
+    if kind == 3:
+        edge = math.nextafter(edge, rng.choice((0.0, 1.0)))
+    return min(edge, math.nextafter(1.0, 0.0))
+
+
+def one_atom_digest() -> str:
+    """sha256 of point-mass orbits from ``ONE_ATOM_STATES`` seeded starts,
+    on the ``long-orbit`` base pairs."""
+    import workloads
+    from carpetlab.errors import ZeroMassCell
+    from carpetlab.measures import DiscreteMeasure
+    from carpetlab.scenery import SceneryState, magnify_step, run_scenery
+    from carpetlab.symbolic import SymbolWord
+
+    bases = [pair for pairs in workloads.ORBIT_BASES for pair in pairs]
+    digest = hashlib.sha256()
+    for i in range(ONE_ATOM_STATES):
+        rng = random.Random(f"one-atom:{i}")
+        m, n = bases[i % len(bases)]
+        x, y = one_atom_coordinate(rng, m), one_atom_coordinate(rng, n)
+        while x == y == 0.0:  # away from the origin, where long-orbit starts
+            y = one_atom_coordinate(rng, n)
+        length = ONE_ATOM_STEPS + 2
+        y_word = SymbolWord(n, exact_digits(y, n, length))
+        state = SceneryState(
+            mu=DiscreteMeasure.point_mass(x, y),
+            x_word=SymbolWord(m, exact_digits(x, m, length)),
+            y_word=y_word,
+            u=round(rng.random(), 6),
+            omega=y_word,
+        )
+        theta = workloads.theta(m, n)
+        summary = run_scenery(state, ONE_ATOM_STEPS, theta, probe_level=2)
+        digest.update(json.dumps([summary.records, summary.exhausted_at]).encode())
+        digest.update(summary.phases.tobytes())
+        for _ in range(ONE_ATOM_STEPS):
+            try:
+                state = magnify_step(state, theta)
+            except ZeroMassCell:
+                break
+            digest.update(state.mu.points.tobytes() + state.mu.weights.tobytes())
     return digest.hexdigest()
 
 
@@ -101,6 +176,7 @@ def main(argv=None) -> int:
             digest.update(json.dumps([summary.records, summary.exhausted_at]).encode())
             digest.update(summary.phases.tobytes())
         digests[f"long-orbit:{seed}"] = digest.hexdigest()
+    digests["one-atom"] = one_atom_digest()
     print(json.dumps(digests, indent=1))
     return 0
 
