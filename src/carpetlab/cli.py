@@ -157,7 +157,7 @@ def cmd_slice(args) -> int:
     c = load_carpet(args.carpet)
     lo, hi = args.depths
     line = _build_line(c, args.u0, args.slope, args.t, args.sign)
-    cover = slice_cover(c, line, hi, budget=args.budget)
+    cover = slice_cover(c, line, hi, budget=args.budget, keep_cells=False)
     series, payload = _fit(c, cover.counts, lo, hi, args.drop_head)
     counts_csv = "k,N_k\n" + "".join(f"{k},{nk}\n" for k, nk in series)
     payload["bounds"] = carpet_bounds(c)
@@ -221,7 +221,9 @@ def cmd_sweep(args) -> int:
 
     def walk(batch: list[tuple[int, Line]]):
         try:
-            cover = slice_cover(c, [line for _, line in batch], hi, budget=args.budget)
+            cover = slice_cover(
+                c, [line for _, line in batch], hi, budget=args.budget, keep_cells=False
+            )
         except CellBudgetExceeded as exc:
             if len(batch) == 1:
                 failed(batch[0][0], exc)

@@ -12,7 +12,7 @@ import math
 from dataclasses import dataclass
 from functools import cached_property
 from fractions import Fraction
-from typing import Iterable, Sequence
+from typing import Iterable, NamedTuple, Sequence
 
 import numpy as np
 
@@ -104,44 +104,97 @@ def _cell_meets_line(q: int, rise: int, height: int) -> bool:
     return min(q, q + rise) <= height and max(q, q + rise) >= 0
 
 
+class _Lines(NamedTuple):
+    """A walk's lines as the line test reads them.
+
+    ``slope`` and ``intercept`` are one float when every line shares it (a
+    ``--u0s`` or ``--grid`` batch shares its slope), else an array with one
+    per line, which the test gathers per cell; ``spread`` is the largest
+    |s| + |t| + 1.
+    """
+
+    slopes: tuple[float, ...]
+    intercepts: tuple[float, ...]
+    slope: float | np.ndarray
+    intercept: float | np.ndarray
+    spread: float
+
+    @classmethod
+    def of(cls, lines: list[Line]) -> "_Lines":
+        slopes = tuple(line.slope for line in lines)
+        intercepts = tuple(line.intercept for line in lines)
+
+        def shared(v: tuple[float, ...]) -> float | np.ndarray:
+            return v[0] if len(set(v)) == 1 else np.array(v)
+
+        spread = max(abs(s) + abs(t) for s, t in zip(slopes, intercepts)) + 1.0
+        return cls(slopes, intercepts, shared(slopes), shared(intercepts), spread)
+
+
 def _meets_line(
-    slope: np.ndarray, intercept: np.ndarray, x: np.ndarray, x_scale: int, y: np.ndarray, y_scale: int
+    lines: _Lines, owner: np.ndarray, x: np.ndarray, x_scale: int, y: np.ndarray, y_scale: int
 ) -> np.ndarray:
     """Exact test of the closed cells [x, x+1]/x_scale x [y, y+1]/y_scale.
 
-    ``slope`` and ``intercept`` hold each cell's line, element by element.  A
-    line meets a cell iff the gaps y1 - lo and hi - y0 are >= 0, lo and hi
-    being its values at the cell's x ends; float64 decides every gap outside
-    the line's margin, and ``_cell_meets_line`` the others.
+    Cell i belongs to line ``owner[i]``.  Over the cell's x interval the
+    line's values are s(x+1/2)/X + t +- |s|/2X, and the cell's y interval is
+    (y+1/2)/Y +- 1/2Y.  Scaled by Y, the two meet iff the gap
+    |a(x+1/2) + tY - 1/2 - y| - (|a|/2 + 1/2) is <= 0, with a = sY/X.  The
+    float test computes it as |a·x + c - y| - r, with c = a/2 + tY - 1/2
+    and r = |a|/2 + 1/2 taken once per line and call, and decides every
+    cell whose gap lies outside the margin; ``_cell_meets_line`` decides
+    the others.
     """
-    at0 = (x / x_scale).astype(np.float64, copy=False)
-    at1 = ((x + 1) / x_scale).astype(np.float64, copy=False)
-    np.add(np.multiply(slope, at0, out=at0), intercept, out=at0)
-    np.add(np.multiply(slope, at1, out=at1), intercept, out=at1)
-    lo = np.minimum(at0, at1)
-    hi = np.maximum(at0, at1, out=at0)
-    del at1  # this test's float arrays set the walk's memory peak: hold few at once
-    np.subtract(((y + 1) / y_scale).astype(np.float64, copy=False), lo, out=lo)
-    np.subtract(hi, (y / y_scale).astype(np.float64, copy=False), out=hi)
-    gap = np.minimum(lo, hi, out=lo)
-    keep = gap >= 0
-    # With u = 2**-53: a quotient index/scale lies in [0, 1] and is correctly
-    # rounded (the dtype rule of _walk), so it is off by <= u; a line value,
-    # one rounded product and sum, by <= u(3|s| + |t|) + O(u**2); and a gap,
-    # one more quotient and rounded difference, by <= 4u(|s| + |t| + 1) +
-    # O(u**2).  The margin is twice that, which covers its own rounding.
-    margin = (np.abs(slope) + np.abs(intercept) + 1.0) * 2.0**-50
-    for i in np.flatnonzero(np.abs(gap, out=gap) <= margin):
-        (s, ds), (t, dt) = slope[i].as_integer_ratio(), intercept[i].as_integer_ratio()
-        s, t, d = s * dt, t * ds, ds * dt  # over one denominator d
-        q = y_scale * (s * int(x[i]) + t * x_scale) - int(y[i]) * x_scale * d
-        keep[i] = _cell_meets_line(q, y_scale * s, x_scale * d)
+    y_float = float(y_scale)
+    a = lines.slope * (y_scale / x_scale)  # y_scale / x_scale on Python ints: correctly rounded
+    c = a * 0.5 + (lines.intercept * y_float - 0.5)
+    r = abs(a) * 0.5 + 0.5
+    if isinstance(a, np.ndarray):
+        a, r = a[owner], r[owner]
+    if isinstance(c, np.ndarray):
+        c = c[owner]
+    gap = np.multiply(x, a) if x.dtype != object else x.astype(np.float64) * a
+    gap += c
+    gap -= y if y.dtype != object else y.astype(np.float64)
+    np.abs(gap, out=gap)
+    gap -= r
+    keep = gap <= 0
+    # The error bound, with u = 2**-53, S = |s|Y and T = |t|Y, each rounding
+    # off by u times its result, barring underflow (whose 2**-1075 the
+    # margin's Y term absorbs).  fl(Y/X) and the product with s put 2u|a| on
+    # a.  The float x is exact below 2**53 (the dtype rule of _walk) and
+    # rounded once past it, so a·x is off by 4u|a|x; x + 1/2 is never
+    # formed, as the 1/2 is folded into c, so nothing rounds there.  fl(Y),
+    # rounded once past 2**53, its product with t, the - 1/2 and the sum
+    # with a/2 put 4uT + 1.5u|a| + u on c.  The sum a·x + c, the float y
+    # (rounded once past 2**53) and the difference add u(|a|x + T + |a|/2 +
+    # 1/2) + uy + u(|a|x + T + |a|/2 + 1/2 + y); r is off by 1.5u|a| + u/2
+    # and the last difference by u(|a·x + c - y| + r).  Since |a|(x + 1) <=
+    # S and y < Y, in all |gap^ - gap| <= 7u(|s| + |t| + 1)Y + O(u**2).  The
+    # margin is 16u(|s| + |t| + 1)Y for the walk's largest |s| + |t|, which
+    # covers the O(u**2) terms and its own rounding.  It is taken from a
+    # doubled product, so it overflows to inf, sending every cell to the
+    # integer kernel, before any float above can overflow: past that, inf -
+    # inf is NaN, which compares false, and is sent there too.
+    margin = lines.spread * y_float * 2.0 * 2.0**-50
+    np.abs(gap, out=gap)
+    if not np.minimum.reduce(gap, initial=np.inf) > margin:
+        for i in np.flatnonzero(~(gap > margin)):
+            line = owner[i]
+            s, ds = lines.slopes[line].as_integer_ratio()
+            t, dt = lines.intercepts[line].as_integer_ratio()
+            s, t, d = s * dt, t * ds, ds * dt  # over one denominator d
+            q = y_scale * (s * int(x[i]) + t * x_scale) - int(y[i]) * x_scale * d
+            keep[i] = _cell_meets_line(q, y_scale * s, x_scale * d)
     return keep
 
 
 def _digit(index: np.ndarray, base: int, place: int) -> np.ndarray:
     """Digit of weight ``base**place`` of every index, as array indices."""
-    return (index // base**place % base).astype(np.intp)
+    return (index // base**place % base).astype(np.intp, copy=False)
+
+
+CHUNK = 1 << 14  # children expanded at once: bounds the walk's memory
 
 
 def _walk(
@@ -150,72 +203,121 @@ def _walk(
     lines: list[Line],
     max_depth: int,
     budget: int,
-) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Level-synchronous pruned traversal of the carpet tree for lines of one carry sequence.
+    keep_cells: bool,
+) -> tuple[np.ndarray, np.ndarray | None, np.ndarray | None]:
+    """Chunked depth-first traversal of the carpet tree for lines of one carry sequence.
 
     A line's slope exponent reaches the walk only through ``returns``, so
     lines that share their carries walk as one frontier, whatever their
-    exponents.  A level's frontier holds the digit indices ``x_index``
-    (base m, length ``returns[depth]``) and ``y_index`` (base n, length
-    ``depth``) of its kept cells and the index of the line each cell
-    belongs to, line-major, each line's cells in depth-first preorder.
-    Returns the kept counts as a (line, depth) table and the index arrays
-    of the kept cells at ``max_depth``.  Every tested cell of every line
-    counts against ``budget``, checked before a level is built, so one
-    line tests exactly the cells it tests alone.
+    exponents.  A chunk of a level holds the digit indices ``x``
+    (base m, length ``returns[depth]``) and ``y`` (base n, length
+    ``depth``) of its cells and the index of the line each cell belongs
+    to.  The walk tests a chunk, then expands its kept cells at most
+    ``CHUNK`` children at a time, finishing each batch of children's
+    subtree before the next: so at every depth the chunks come in the
+    order of one whole level, line-major, each line's cells in depth-first
+    preorder, and memory stays bounded by ``CHUNK`` per level.  Returns the
+    kept counts as a (line, depth) table and, if ``keep_cells``, the index
+    arrays of the kept cells at ``max_depth`` (else ``None``).  Every
+    tested cell of every line counts against ``budget``, on the running
+    total, so one line tests exactly the cells it tests alone and a walk
+    raises whatever its chunks.
     """
     m, n = c.m, c.n
-    # int64 -> float64 division is correctly rounded only while both
-    # operands are below 2**53; past that, object arrays of Python ints run
-    # the same expressions with exact integer arithmetic
+    # int64 -> float64 conversion is exact, and the cell centers of
+    # SliceCover.centers are ApproxSquare's, only while the indices are
+    # below 2**53; past that, object arrays of Python ints run the same
+    # expressions with exact integer arithmetic
     exact_in_int64 = m ** returns[max_depth] < 2**53 and n**max_depth < 2**53
     dtype = np.int64 if exact_in_int64 else object
     pairs = np.zeros((n, m), dtype=bool)  # pairs[b, a]: digit pair (a, b) allowed
     for a, b in c.digits:
         pairs[b, a] = True
     rows, columns = pairs.any(axis=1), pairs.any(axis=0)
-    slopes = np.array([line.slope for line in lines])
-    intercepts = np.array([line.intercept for line in lines])
+    # Each coupling case of _children as slots (b, a) that a cell's children
+    # may take, in _children's order (b ascending, then a), and, where the
+    # allowed slots depend on one digit of the cell, a table of them by that
+    # digit.  A child's indices are its parent's times (n, m) plus its slot.
+    pair_b, pair_a = np.nonzero(pairs)
+    grid_b, grid_a = np.divmod(np.arange(n * m), m)
+    pairs_t = np.ascontiguousarray(pairs.T)  # pairs_t[a, b] = pairs[b, a]
+    cases = {
+        "same": (np.flatnonzero(rows), None, None),
+        "same, carry": (pair_b, pair_a, None),  # the new a pairs with the new b
+        # the horizontal word is a position ahead: b pairs with xw[depth]
+        "ahead": (np.arange(n), None, pairs_t),
+        "ahead, carry": (grid_b, grid_a, (pairs_t[:, :, None] & columns).reshape(m, n * m)),
+        # the new a pairs with yw[p]
+        "behind, carry": (grid_b, grid_a, (rows[:, None] & pairs[:, None, :]).reshape(n, n * m)),
+    }
+    # a cell's number of children, by its coupling digit
+    widths = {case: table.sum(axis=1) for case, (_, _, table) in cases.items() if table is not None}
+    batch = _Lines.of(lines)
+    counts = np.zeros((len(lines), max_depth + 1), dtype=np.int64)
+    kept: list[tuple[np.ndarray, np.ndarray]] = []
+    line_ends = np.arange(len(lines) + 1)
+    tested = 0
+
+    def test(depth: int, x: np.ndarray, y: np.ndarray, owner: np.ndarray):
+        """Count a chunk's tested and kept cells; return the kept ones, or None at ``max_depth``."""
+        nonlocal tested
+        tested += len(x)
+        if tested > budget:
+            raise CellBudgetExceeded(f"visited more than {budget} cells")
+        keep = _meets_line(batch, owner, x, m ** returns[depth], y, n**depth).nonzero()[0]
+        owner = owner[keep]
+        ends = owner.searchsorted(line_ends)  # owner ascends: a line's cells are one run
+        counts[:, depth] += ends[1:] - ends[:-1]
+        if depth < max_depth:
+            return x[keep], y[keep], owner
+        if keep_cells:
+            kept.append((x[keep], y[keep]))
+        return None
+
+    def expand(depth: int, case: str, x: np.ndarray, y: np.ndarray, owner: np.ndarray):
+        """The children of the cells, in order."""
+        slot_b, slot_a, table = cases[case]
+        carry = slot_a is not None
+        cy = np.add.outer(y * n, slot_b).ravel()
+        cx = np.add.outer(x * m, slot_a).ravel() if carry else None
+        if table is None:  # every cell has the same children: an outer product
+            k = len(slot_b)
+            return cx if carry else x.repeat(k), cy, owner.repeat(k)
+        p = returns[depth]
+        digit = _digit(x, m, p - 1 - depth) if p > depth else _digit(y, n, depth - 1 - p)
+        on, k = table[digit].ravel().nonzero()[0], widths[case][digit]
+        return cx.take(on) if carry else x.repeat(k), cy.take(on), owner.repeat(k)
+
+    def descend(depth: int, x: np.ndarray, y: np.ndarray, owner: np.ndarray):
+        """Walk the subtrees of kept cells shallower than ``max_depth``, CHUNK children at a time.
+
+        Each frame holds only kept cells: a chunk's tested children are
+        dropped once ``test`` returns.
+        """
+        p, carry = returns[depth], returns[depth + 1] > returns[depth]
+        if p > depth:
+            case = "ahead, carry" if carry else "ahead"
+        elif carry:
+            case = "same, carry" if p == depth else "behind, carry"
+        else:
+            case = "same"
+        step = max(1, CHUNK // len(cases[case][0]))  # one parent at least
+        for lo in range(0, len(x), step):
+            part = slice(lo, lo + step)
+            chunk = test(depth + 1, *expand(depth, case, x[part], y[part], owner[part]))
+            if chunk is not None:
+                descend(depth + 1, *chunk)
 
     roots = np.array(c.columns if returns[0] else [0], dtype=dtype)
     x = np.tile(roots, len(lines))
-    y = np.zeros(len(x), dtype=dtype)
-    owner = np.repeat(np.arange(len(lines)), len(roots))
-    tested = len(x)
-    if tested > budget:
-        raise CellBudgetExceeded(f"visited more than {budget} cells")
-    counts = np.zeros((len(lines), max_depth + 1), dtype=np.int64)
-    for depth in range(max_depth + 1):
-        keep = _meets_line(slopes[owner], intercepts[owner], x, m ** returns[depth], y, n**depth)
-        x, y, owner = x[keep], y[keep], owner[keep]
-        counts[:, depth] = np.bincount(owner, minlength=len(lines))
-        if depth == max_depth:
-            break
-        # the coupling cases of _children as a (node, b, a) mask; node-major
-        # nonzero expands the level in depth-first preorder, line by line
-        p, carry = returns[depth], returns[depth + 1] > returns[depth]
-        if p > depth:  # the horizontal word is a position ahead: b pairs with xw[depth]
-            b_ok = pairs[:, _digit(x, m, p - 1 - depth)].T
-        else:
-            b_ok = np.broadcast_to(rows, (len(x), n))
-        if not carry:
-            a_ok = np.ones((1, 1, 1), dtype=bool)
-        elif p < depth:  # the new a pairs with yw[p]
-            a_ok = pairs[_digit(y, n, depth - 1 - p)][:, None, :]
-        elif p == depth:  # the new a pairs with the new b
-            a_ok = pairs[None]
-        else:
-            a_ok = columns[None, None, :]
-        mask = b_ok[:, :, None] & a_ok
-        tested += int(np.count_nonzero(mask))
-        if tested > budget:
-            raise CellBudgetExceeded(f"visited more than {budget} cells")
-        node, b, a = np.nonzero(mask)
-        y = y[node] * n + b
-        x = x[node] * m + a if carry else x[node]
-        owner = owner[node]
-        del mask, node, b, a  # freed before the next level's test, the walk's memory peak
-    return counts, x, y
+    chunk = test(0, x, np.zeros(len(x), dtype=dtype), np.repeat(line_ends[:-1], len(roots)))
+    if chunk is not None:
+        descend(0, *chunk)
+    if not keep_cells:
+        return counts, None, None
+    if not kept:
+        return counts, np.zeros(0, dtype=dtype), np.zeros(0, dtype=dtype)
+    return counts, np.concatenate([x for x, _ in kept]), np.concatenate([y for _, y in kept])
 
 
 def _index_to_digits(index: np.ndarray, base: int, length: int) -> list[tuple[int, ...]]:
@@ -228,7 +330,9 @@ def _index_to_digits(index: np.ndarray, base: int, length: int) -> list[tuple[in
 class SliceCover:
     """Per-depth counts of the traversal plus the kept cells at one depth.
 
-    A cover of several lines holds the cells of every line, line-major.
+    A cover of several lines holds the cells of every line, line-major.  A
+    counts-only cover (``slice_cover(..., keep_cells=False)``) holds no
+    cells, and refuses to read them.
     """
 
     depth: int
@@ -236,8 +340,8 @@ class SliceCover:
     line_counts: list[list[int]]  # line_counts[i][j] = kept cells of line i at depth j
     carpet: Carpet
     x_depth: int  # horizontal word length of the kept cells
-    x_index: np.ndarray  # kept cells at ``depth``, in depth-first order
-    y_index: np.ndarray
+    x_index: np.ndarray | None  # kept cells at ``depth``, in depth-first order
+    y_index: np.ndarray | None
 
     @property
     def count(self) -> int:
@@ -252,10 +356,16 @@ class SliceCover:
         """The i-th kept cell, built alone."""
         return self._squares(slice(i, i + 1))[0]
 
+    def _indices(self) -> tuple[np.ndarray, np.ndarray]:
+        if self.x_index is None or self.y_index is None:
+            raise ValueError("a counts-only cover holds no cells: walk with keep_cells=True")
+        return self.x_index, self.y_index
+
     def _squares(self, which: slice) -> list[ApproxSquare]:
         m, n = self.carpet.m, self.carpet.n
-        xs = _index_to_digits(self.x_index[which], m, self.x_depth)
-        ys = _index_to_digits(self.y_index[which], n, self.depth)
+        x_index, y_index = self._indices()
+        xs = _index_to_digits(x_index[which], m, self.x_depth)
+        ys = _index_to_digits(y_index[which], n, self.depth)
         return [ApproxSquare(SymbolWord(m, xw), SymbolWord(n, yw)) for xw, yw in zip(xs, ys)]
 
     @property
@@ -266,8 +376,9 @@ class SliceCover:
         below 2**53, so they convert to float64 exactly; object arrays run
         the Python-int expressions element by element.
         """
-        x = (self.x_index + 0.5) / self.carpet.m**self.x_depth
-        y = (self.y_index + 0.5) / self.carpet.n**self.depth
+        x_index, y_index = self._indices()
+        x = (x_index + 0.5) / self.carpet.m**self.x_depth
+        y = (y_index + 0.5) / self.carpet.n**self.depth
         return np.column_stack((x, y)).astype(np.float64)
 
 
@@ -285,13 +396,16 @@ def slice_cover(
     line: Line | Sequence[Line],
     depth: int,
     budget: int = DEFAULT_BUDGET,
+    keep_cells: bool = True,
 ) -> SliceCover:
     """Cells of depth ``depth`` whose closed rectangle the line meets.
 
     ``line`` may also be a sequence of lines that share one carry sequence
     (see ``carries``), whatever their exponents: they walk the carpet tree
     as one frontier, and ``budget`` caps the cells tested over all of them.
-    Each line's counts and kept cells are those it has alone.
+    Each line's counts and kept cells are those it has alone.  With
+    ``keep_cells=False`` the cover holds the counts only, and the walk
+    keeps no cell past its chunk.
     """
     if depth > MAX_DEPTH:
         raise ValueError(f"depth capped at {MAX_DEPTH}")
@@ -302,13 +416,12 @@ def slice_cover(
     if len(keys) != 1:
         raise ValueError(f"a batch needs lines of one carry sequence, got {len(keys)}")
     returns = keys.pop()
-    # A line value in _meets_line overflows to +-inf only when the line's
-    # margin |s| + |t| + 1 does too, and an infinite margin sends every cell
-    # of that line to the exact integer kernel: the cover stays exact, so the
-    # overflow warning is noise.  One errstate per walk, since each entry
-    # costs about a microsecond.
-    with np.errstate(over="ignore"):
-        counts, x_index, y_index = _walk(c, returns, lines, depth, budget)
+    # A float in _meets_line overflows to +-inf, or turns NaN as inf - inf,
+    # only when its margin is infinite, which sends every cell to the exact
+    # integer kernel: the cover stays exact, so the warnings are noise.  One
+    # errstate per walk, since each entry costs about a microsecond.
+    with np.errstate(over="ignore", invalid="ignore"):
+        counts, x_index, y_index = _walk(c, returns, lines, depth, budget, keep_cells)
     return SliceCover(
         depth=depth,
         counts=counts.sum(axis=0).tolist(),
@@ -328,7 +441,7 @@ def slice_counts(
 ) -> list[tuple[int, int]]:
     """(depth, kept-cell count) pairs from one traversal of the pruned tree."""
     ks = sorted(set(int(k) for k in depths))
-    cover = slice_cover(c, line, max(ks), budget=budget)
+    cover = slice_cover(c, line, max(ks), budget=budget, keep_cells=False)
     return [(k, cover.counts[k]) for k in ks]
 
 

@@ -2,6 +2,7 @@ import hashlib
 import itertools
 import math
 from fractions import Fraction
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -17,10 +18,15 @@ from carpetlab import (
     slice_counts,
     slice_cover,
 )
+from carpetlab import slicer
+from carpetlab.cli import main
 from carpetlab.errors import AxisParallelLine, CellBudgetExceeded, InsufficientData
 from carpetlab.proptest import family_3x2
-from carpetlab.slicer import carries
+from carpetlab.slicer import _children, _roots, carries
 from carpetlab.symbolic import digits_to_index
+
+CARPETS = Path(__file__).resolve().parents[1] / "carpets"
+WIDE_10X9 = [(0, 0), (9, 0), (4, 4), (2, 8), (7, 8), (5, 4)]  # object index arrays at depth 20
 
 
 def diagonal_cell_walk(c, depth: int) -> int:
@@ -245,6 +251,156 @@ def test_cover_exact_near_cell_corners(rng, example, full_square):
                 got = {(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells}
                 slope, t = Fraction(line.slope), Fraction(line.intercept)
                 assert got == exact_cover_cells(c, slope, t, depth, line.exponent(c.m))
+
+
+def grid_lines(c, sign: int, rng, count: int):
+    """Exact-double lines through a grid corner of depth 1.
+
+    The slope is sign * m**q * a / 2**r, and the corner's x is i/m with
+    q >= 1 (else 0 or 1), so slope * x is dyadic; its y is j/2 for n = 2,
+    else 0 or 1.  So the intercept is an exact double and the line passes
+    through the corner exactly; where n = 2 it meets a grid corner at every
+    step of 1/m**q in x, along the diagonals of cells.
+    """
+    for _ in range(count):
+        q, a, r = int(rng.integers(0, 3)), int(rng.choice([1, 3, 5])), int(rng.integers(0, 3))
+        slope = sign * c.m**q * a / 2**r
+        x = Fraction(int(rng.integers(0, c.m + 1)), c.m) if q else Fraction(int(rng.integers(0, 2)))
+        y = Fraction(int(rng.integers(0, 3)), 2) if c.n == 2 else Fraction(int(rng.integers(0, 2)))
+        t = y - Fraction(slope) * x
+        assert Fraction(float(t)) == t
+        yield Line(slope=slope, intercept=float(t))
+
+
+def test_cover_exact_on_lines_through_grid_corners(monkeypatch, rng, example, full_square):
+    # a line through a cell corner meets the cells there at that corner
+    # only, a tie the float test cannot decide: it must reach the integer
+    # kernel, and the cover must be the exact one at every such tie
+    ties, kernel = [], slicer._cell_meets_line
+
+    def recorded(q, rise, height):
+        ties.append(min(q, q + rise) == height or max(q, q + rise) == 0)
+        return kernel(q, rise, height)
+
+    monkeypatch.setattr(slicer, "_cell_meets_line", recorded)
+    wide = new_carpet(10, 9, WIDE_10X9)
+    for c, depths in ((example, (4, 8, 12)), (full_square, (4, 6, 8)), (wide, (12, 20))):
+        ties.clear()
+        for sign in (1, -1):
+            for i, line in enumerate(grid_lines(c, sign, rng, 6)):
+                depth = depths[i % len(depths)]  # (10, 9) at depth 20: object index arrays
+                cover = slice_cover(c, line, depth)
+                got = {(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells}
+                slope, t = Fraction(line.slope), Fraction(line.intercept)
+                assert got == exact_cover_cells(c, slope, t, depth, line.exponent(c.m))
+        assert any(ties)
+    # the one full_square cover at depth 12, along the diagonals of 1/3 x 1/2 cells
+    line = Line(slope=-1.5, intercept=1.0)
+    cover = slice_cover(full_square, line, 12)
+    got = {(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells}
+    assert got == exact_cover_cells(full_square, Fraction(-3, 2), Fraction(1), 12, line.exponent(3))
+
+
+def test_readme_sweep_integer_kernel_calls(monkeypatch, capsys):
+    # the float test leaves 15 of the README sweep's cells to the integer kernel
+    calls, kernel = [], slicer._cell_meets_line
+    monkeypatch.setattr(slicer, "_cell_meets_line", lambda *a: calls.append(a) or kernel(*a))
+    argv = ["sweep", "--carpet", str(CARPETS / "example.txt"), "--grid", "10x10"]
+    assert main([*argv, "--depths", "4..12"]) == 0
+    capsys.readouterr()
+    assert 0 < len(calls) <= 15
+
+
+def ordered_levels(c, line: Line, depth: int) -> list[list[tuple]]:
+    """Each depth's cover as a list, in the order of _roots and _children, tested in rationals."""
+    s, t = Fraction(line.slope), Fraction(line.intercept)
+
+    def meets(node) -> bool:
+        (xw, yw), xs, ys = node, Fraction(c.m) ** len(node[0]), Fraction(c.n) ** len(node[1])
+        x0, y0 = digits_to_index(xw, c.m) / xs, digits_to_index(yw, c.n) / ys
+        ends = (s * x0 + t, s * (x0 + 1 / xs) + t)
+        return min(ends) <= y0 + 1 / ys and max(ends) >= y0
+
+    returns = carries(c, line.exponent(c.m), depth)
+    levels = [[node for node in _roots(c, returns[0]) if meets(node)]]
+    for d in range(depth):
+        carry = returns[d + 1] > returns[d]
+        level = (ch for node in levels[-1] for ch in _children(c, node, d, carry))
+        levels.append([ch for ch in level if meets(ch)])
+    return levels
+
+
+def expansion_cases(returns) -> set[str]:
+    """The root and the coupling cases of _children that a walk's levels reach."""
+    cases = {f"R(0) = {returns[0]}"}
+    for depth, (p, after) in enumerate(zip(returns, returns[1:])):
+        carry = after > p
+        if p > depth:
+            cases.add("ahead, carry" if carry else "ahead")
+        elif carry:
+            cases.add("same, carry" if p == depth else "behind, carry")
+        else:
+            cases.add("same")
+    return cases
+
+
+# every case of _children, and both kinds of root: R(0) = 0 and R(0) = 1
+ORDER_CASES = [
+    ("example", 0.9, 0.3, 1, 10),
+    ("example", 0.0, 0.1, -1, 10),
+    ("full_square", 0.9, -0.2, 1, 7),
+    ("full_square", 0.3, 1.1, -1, 7),
+    ("wide", 0.3, -0.39724574549027614, 1, 20),
+]
+
+
+@pytest.mark.parametrize("chunk", [slicer.CHUNK, 3])
+def test_cells_in_walk_order_at_every_depth(request, monkeypatch, chunk):
+    monkeypatch.setattr(slicer, "CHUNK", chunk)
+    reached = set()
+    for name, u0, t, sign, depth in ORDER_CASES:
+        c = new_carpet(10, 9, WIDE_10X9) if name == "wide" else request.getfixturevalue(name)
+        line = Line.from_exponent(c.m, u0, t, sign=sign)
+        reached |= expansion_cases(carries(c, u0, depth))
+        for k, level in enumerate(ordered_levels(c, line, depth)):
+            cover = slice_cover(c, line, k)
+            assert [(sq.x_word.symbols, sq.y_word.symbols) for sq in cover.cells] == level
+            assert cover.counts[k] == len(level)
+    assert reached == {
+        "R(0) = 0", "R(0) = 1", "ahead", "ahead, carry", "same", "same, carry", "behind, carry"
+    }  # fmt: skip
+
+
+def test_chunks_keep_counts_cells_and_budget(monkeypatch, example, full_square):
+    line = Line(slope=1.0, intercept=0.0)
+    batch = [Line.from_exponent(3, 0.37, t) for t in (-0.4, 0.05, 0.2)]
+    walks = [(full_square, line, 10), (example, batch, 14)]
+    whole = [slice_cover(*walk) for walk in walks]
+    monkeypatch.setattr(slicer, "CHUNK", 4)
+    for cover, chunked in zip(whole, [slice_cover(*walk) for walk in walks]):
+        assert chunked.line_counts == cover.line_counts
+        assert np.array_equal(chunked.x_index, cover.x_index)
+        assert np.array_equal(chunked.y_index, cover.y_index)
+    # the budgets of test_budget_counts_every_tested_cell
+    assert slice_cover(full_square, line, 10, budget=7651).counts[10] > 0
+    with pytest.raises(CellBudgetExceeded):
+        slice_cover(full_square, line, 10, budget=7650)
+    assert slice_cover(full_square, [line, line], 10, budget=2 * 7651).counts[10] > 0
+    with pytest.raises(CellBudgetExceeded):
+        slice_cover(full_square, [line, line], 10, budget=2 * 7651 - 1)
+
+
+def test_counts_only_cover_refuses_cells(example):
+    line = Line.from_exponent(3, 0.37, 0.21)
+    cover = slice_cover(example, line, 12)
+    counts_only = slice_cover(example, line, 12, keep_cells=False)
+    assert counts_only.counts == cover.counts and counts_only.count > 0
+    with pytest.raises(ValueError, match="counts-only"):
+        counts_only.cells
+    with pytest.raises(ValueError, match="counts-only"):
+        counts_only.cell(0)
+    with pytest.raises(ValueError, match="counts-only"):
+        counts_only.centers
 
 
 def brute_force_cover(c, slope, intercept, depth, u0):

@@ -6,8 +6,10 @@ Prints one JSON object that maps each item of ROADMAP.md's byte-identical
 set to the sha256 of its output:
 
 - each README CLI example (``proptest --seed 0`` among them);
-- the deep ``scenery`` command on ``full_3x2`` at depths 4..20, whose
-  cover holds about 2.6M cells (a few seconds and about 500 MB);
+- three deep commands on ``full_3x2`` at depths 4..20: ``scenery``,
+  whose cover holds about 2.6M cells (a few seconds and about 330 MB),
+  and ``slice`` and ``sweep --grid 4x4``, whose walks are wide but keep
+  no cells (a few seconds together);
 - each ``dense-sweep``, ``sparse-sweep`` and ``scenery-report`` command of
   the benchmark plans at seeds 1 and 2;
 - ``run_scenery``'s records, phases and ``exhausted_at`` on each
@@ -51,7 +53,11 @@ README_EXAMPLES = (
     "scenery  --carpet carpets/full_3x2.txt --slope 1.0 --steps 1000 --depths 4..10",
     "proptest --seed 0",
 )
-DEEP_COMMANDS = ("scenery --carpet carpets/full_3x2.txt --slope 1.0 --steps 1000 --depths 4..20",)
+DEEP_COMMANDS = (
+    "scenery --carpet carpets/full_3x2.txt --slope 1.0 --steps 1000 --depths 4..20",
+    "slice --carpet carpets/full_3x2.txt --slope 1.0 --depths 4..20",
+    "sweep --carpet carpets/full_3x2.txt --grid 4x4 --depths 4..20",
+)
 CLI_WORKLOADS = ("dense-sweep", "sparse-sweep", "scenery-report")
 CLI_SEEDS = (1, 2)
 ORBIT_SEEDS = (1, 2, 3)
