@@ -41,18 +41,18 @@ class DiscreteMeasure:
 
     cell_mass: float | None = None
 
-    def __init__(self, points, weights, *, validate: bool = True):
-        pts = np.ascontiguousarray(points, dtype=np.float64)
-        wts = np.ascontiguousarray(weights, dtype=np.float64)
+    def __init__(self, points, weights):
+        # copies: the caller's arrays stay its own, and writable
+        pts = np.array(points, dtype=np.float64, order="C")
+        wts = np.array(weights, dtype=np.float64, order="C")
         if pts.ndim != 2 or pts.shape[1] != 2 or wts.shape != (pts.shape[0],):
             raise ValueError("points must be (N, 2) and weights (N,)")
-        if validate:
-            if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
-                raise ValueError("non-finite coordinates or weights")
-            if np.any(wts < 0.0):
-                raise ValueError("negative weights")
-            if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
-                raise ValueError("atoms outside the unit square")
+        if not (np.isfinite(pts).all() and np.isfinite(wts).all()):
+            raise ValueError("non-finite coordinates or weights")
+        if np.any(wts < 0.0):
+            raise ValueError("negative weights")
+        if pts.size and (pts.min() < 0.0 or pts.max() > 1.0):
+            raise ValueError("atoms outside the unit square")
         pts.setflags(write=False)
         wts.setflags(write=False)
         self.points = pts
@@ -60,8 +60,11 @@ class DiscreteMeasure:
 
     @classmethod
     def _trusted(cls, points: np.ndarray, weights: np.ndarray) -> "DiscreteMeasure":
-        """A measure on read-only float64 arrays of shapes (N, 2) and (N,) that
-        the caller built valid, with no copy and no check."""
+        """A measure on float64 arrays of shapes (N, 2) and (N,) that the
+        caller built valid and hands over: they are made read-only, with no
+        copy and no check."""
+        points.setflags(write=False)
+        weights.setflags(write=False)
         mu = object.__new__(cls)
         mu.points = points
         mu.weights = weights
@@ -74,22 +77,20 @@ class DiscreteMeasure:
     def total_mass(self) -> float:
         return float(self.weights.sum())
 
-    @property
-    def is_normalized(self) -> bool:
-        return abs(self.total_mass - 1.0) <= MASS_TOL
-
     def require_normalized(self):
-        if not self.is_normalized:
+        if not abs(self.total_mass - 1.0) <= MASS_TOL:  # NaN fails too
             raise UnnormalizedMeasure(f"total mass {self.total_mass} != 1")
 
     @classmethod
     def point_mass(cls, x: float, y: float) -> "DiscreteMeasure":
-        return cls(np.array([[x, y]]), np.array([1.0]))
+        return cls([[x, y]], [1.0])
 
     @classmethod
     def uniform_on(cls, points) -> "DiscreteMeasure":
         pts = np.asarray(points, dtype=np.float64)
         n = len(pts)
+        if n == 0:
+            raise ValueError("a uniform measure needs at least one point")
         return cls(pts, np.full(n, 1.0 / n))
 
 
@@ -100,14 +101,17 @@ class GridPartition:
     Cells are half-open, left-closed, except that the last row and column
     are closed: the cell index of a coordinate is
     min(floor(coordinate * base**level), base**level - 1), so 1.0 lies in
-    the last cell.  Cell indices are int64, so a negative level or a scale
-    base**level of 2**63 or more is rejected.
+    the last cell.  A base below 2 has no cells to refine, and cell indices
+    are int64, so a base below 2, a negative level or a scale base**level
+    of 2**63 or more is rejected.
     """
 
     base: int
     level: int
 
     def __post_init__(self):
+        if self.base < 2:
+            raise ValueError(f"grid base must be >= 2, got {self.base}")
         if self.level < 0:
             raise ValueError(f"grid level must be >= 0, got {self.level}")
         if self.base**self.level >= 2**63:
@@ -146,7 +150,7 @@ def entropy(mu: DiscreteMeasure, part: GridPartition) -> EntropyReport:
     else:
         mask = mu.weights > 0.0
         masses = _aggregate(mu.points[mask], mu.weights[mask], part)
-        h = float(-(masses * np.log(masses)).sum()) if len(masses) else 0.0
+        h = float(-(masses * np.log(masses)).sum())
         cells = len(masses)
     h = max(h, 0.0) + 0.0  # clamp rounding noise; + 0.0 drops negative zero
     log_side = part.norm_log
@@ -158,14 +162,11 @@ def _aggregate(points: np.ndarray, weights: np.ndarray, part: GridPartition) -> 
     """Masses of the occupied cells of ``part``, in lexicographic (ix, iy) order.
 
     Each cell's weights are added one by one in atom order (``bincount``),
-    so the masses do not depend on how the cells are found.  Fewer than two
-    atoms need no cell indices: a single atom is its own cell.  A small grid,
+    so the masses do not depend on how the cells are found.  A small grid,
     ``scale**2 <= 4 * len(weights)``, is counted: the key ix * scale + iy
     ascends in (ix, iy) order.  A larger grid is sorted, so memory stays
     bounded.
     """
-    if len(weights) < 2:
-        return weights[weights > 0.0]
     scale = part.base**part.level
     indices = part.cell_indices(points)
     if scale**2 <= _COUNT_TABLE_PER_ATOM * len(weights):
@@ -219,6 +220,13 @@ def _locate(
     return hit[:, 0] & hit[:, 1], offset
 
 
+def holds_mass(mu: DiscreteMeasure, sq: ApproxSquare) -> bool:
+    """Whether ``condition_rescale(mu, sq)`` would keep an atom: some atom
+    in the cell outweighs ``MIN_ATOM_WEIGHT``.  Nothing is conditioned."""
+    in_cell, _ = _locate(mu, sq)
+    return bool(np.any(in_cell & (mu.weights > MIN_ATOM_WEIGHT)))
+
+
 def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     """Condition ``mu`` on the cell and blow the cell up to the unit square.
 
@@ -244,9 +252,7 @@ def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
         if not (in_cell and w > MIN_ATOM_WEIGHT):
             raise ZeroMassCell("cell carries no mass")
         x, y = (_clamp(float(o)) for o in offset)
-        points = np.array([[x, y]])
-        points.setflags(write=False)
-        conditioned = DiscreteMeasure._trusted(points, _UNIT_WEIGHT)
+        conditioned = DiscreteMeasure._trusted(np.array([[x, y]]), _UNIT_WEIGHT)
         conditioned.cell_mass = w
         return conditioned
     mask = in_cell & (mu.weights > MIN_ATOM_WEIGHT)
@@ -257,7 +263,7 @@ def condition_rescale(mu: DiscreteMeasure, sq: ApproxSquare) -> DiscreteMeasure:
     out = offset[mask].astype(np.float64)
     np.maximum(out, 0.0, out=out)
     np.minimum(out, BELOW_ONE, out=out)
-    conditioned = DiscreteMeasure(out, wts / total, validate=False)
+    conditioned = DiscreteMeasure._trusted(out, wts / total)
     # with no light atom in the cell, the kept weights are the cell's weights
     # in the same order, so their sum has the bits of the cell's sum
     if np.count_nonzero(in_cell) == len(wts):
@@ -287,7 +293,8 @@ def finite_scale_dimension(mu: DiscreteMeasure, base: int, levels: Iterable[int]
     lvls = sorted(set(int(l) for l in levels))
     if len(lvls) < 2:
         raise InsufficientLevels("need at least 2 levels")
-    xs = np.array([l * math.log(base) for l in lvls])
-    hs = np.array([entropy(mu, GridPartition(base, l)).entropy for l in lvls])
+    parts = [GridPartition(base, l) for l in lvls]
+    xs = np.array([part.norm_log for part in parts])
+    hs = np.array([entropy(mu, part).entropy for part in parts])
     slope = np.polyfit(xs, hs, 1)[0]
     return float(slope)

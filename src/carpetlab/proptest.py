@@ -294,9 +294,8 @@ def check_bound_chain(rng: np.random.Generator) -> CheckResult:
         symbols = tuple(int(s) for s in rng.choice(c.rows, size=need))
         word = sy.SymbolWord(c.n, symbols)
         triple = sc.empirical_measures_linear(word, 500, c.theta, block=4)
-        rep = sc.bound_chain_report(c, triple, block=4)
-        if rep.slack_packing < -1e-9 or rep.slack_hausdorff < -1e-9:
-            return CheckResult("bound_chain", False, tables, detail=str(rep))
+        # raises on a slack below -SLACK_TOL, which run_all records as a failure
+        sc.bound_chain_report(c, triple, block=4)
     return CheckResult("bound_chain", True, tables)
 
 

@@ -16,14 +16,7 @@ import numpy as np
 
 from .carpet import Carpet, box_packing_dimension, hausdorff_chain, hausdorff_dimension, packing_chain
 from .errors import BlockTooDeep, WordTooShort, ZeroMassCell
-from .measures import (
-    MIN_ATOM_WEIGHT,
-    DiscreteMeasure,
-    GridPartition,
-    _locate,
-    condition_rescale,
-    entropy,
-)
+from .measures import DiscreteMeasure, GridPartition, condition_rescale, entropy, holds_mass
 from .symbolic import ApproxSquare, SymbolWord, carry_shift, shift
 
 MAX_STEPS = 10**5
@@ -67,8 +60,8 @@ def state_from_cell(
     digits (smallest admissible, then the sorted digit list cyclically) so
     the point genuinely lies in the carpet and the orbit can run ``length``
     steps without running out of symbols.  ``omega`` is the vertical word
-    itself.  Raises ZeroMassCell, as the first zoom would, if no atom of the
-    cell outweighs ``MIN_ATOM_WEIGHT``.
+    itself.  Raises ZeroMassCell, as the first zoom would, if the cell holds
+    no atom heavy enough to keep.
     """
     xw = list(cell.x_word.symbols)
     yw = list(cell.y_word.symbols)
@@ -86,10 +79,7 @@ def state_from_cell(
     state = SceneryState(
         mu=mu, x_word=SymbolWord(c.m, digits[:, 0]), y_word=y_word, u=u0, omega=y_word
     )
-    # the start cell, not conditioned on; a one-atom measure's membership is
-    # one bool, which indexes its weights as a one-entry mask does
-    in_cell, _ = _locate(mu, cell)
-    if not np.any(mu.weights[in_cell] > MIN_ATOM_WEIGHT):
+    if not holds_mass(mu, cell):  # the start cell, not conditioned on
         raise ZeroMassCell("cell carries no mass")
     return state
 
@@ -145,7 +135,7 @@ def run_scenery(
             exhausted_at = j
             if records[-1]["step"] != j - 1:
                 # last reached state, with the failed cell's mass: 0.0, as its atoms
-                # weigh at most MIN_ATOM_WEIGHT, and conditioning a normalized measure
+                # are too light to keep, and conditioning a normalized measure
                 # brings no weight near that from well above it
                 record(j - 1, state, 0.0)
             break

@@ -173,6 +173,8 @@ class RotationOrbit:
 
     def return_counts(self, k: int) -> np.ndarray:
         """Cumulative return counts: entry i equals return_count(i)."""
+        if k < 0:
+            raise ValueError("k must be >= 0")
         return self._floors(np.arange(1, k + 2, dtype=np.float64))
 
 

@@ -1,6 +1,7 @@
 """Guards on the package's names: every name it exports is used by the
 program itself or by the acceptance suite, every name the benchmark's traced
-run patches exists, and no check in the source is an ``assert`` statement."""
+run patches exists, no check in the source is an ``assert`` statement, and
+no module imports another's private names."""
 
 import ast
 import dataclasses
@@ -79,3 +80,18 @@ def test_benchmark_trace_points_exist(monkeypatch, tmp_path):
         "measures.condition_rescale",
         "scenery.magnify_step",
     } <= {span[2] for span in tracer.spans}
+
+
+def test_no_private_names_imported_across_modules():
+    """A module's ``_name`` is its own: another module that needs one asks
+    for a public function instead, so a private helper's return shape stays
+    free to change.  Only relative imports inside the package are checked."""
+    found = [
+        f"{path.name}:{node.lineno} {alias.name}"
+        for path in sorted(PACKAGE.glob("*.py"))
+        for node in ast.walk(ast.parse(path.read_text()))
+        if isinstance(node, ast.ImportFrom) and node.level > 0
+        for alias in node.names
+        if alias.name.startswith("_")
+    ]
+    assert found == []

@@ -43,6 +43,36 @@ def test_measure_rejects_non_finite(bad):
         DiscreteMeasure([[0.5, 0.5], [0.2, 0.2]], [bad, 0.5])
 
 
+def test_measure_owns_copies_of_its_arrays():
+    # the caller's arrays stay writable and apart from the measure's, in
+    # any layout; the measure's own arrays are C-ordered and read-only
+    pts = np.array([[0.1, 0.2], [0.3, 0.4]])
+    wts = np.array([0.5, 0.5])
+    for points in (pts, np.asfortranarray(pts), pts.tolist()):
+        mu = DiscreteMeasure(points, wts)
+        assert mu.points is not points and mu.weights is not wts
+        assert mu.points.flags.c_contiguous and mu.weights.flags.c_contiguous
+        with pytest.raises(ValueError, match="read-only"):
+            mu.points[0, 0] = 0.9
+    pts[0, 0] = 0.9
+    wts[0] = 0.25
+    assert mu.points[0, 0] == 0.1 and mu.weights[0] == 0.5
+
+
+def test_uniform_on_refuses_no_points():
+    for points in ([], np.empty((0, 2))):
+        with pytest.raises(ValueError, match="at least one point"):
+            DiscreteMeasure.uniform_on(points)
+
+
+@pytest.mark.parametrize("base", [1, 0, -2])
+def test_grid_partition_refuses_base_below_two(base):
+    with pytest.raises(ValueError, match=f"grid base must be >= 2, got {base}"):
+        GridPartition(base, 1)
+    with pytest.raises(ValueError, match="grid base must be >= 2"):
+        finite_scale_dimension(DiscreteMeasure.point_mass(0.1, 0.1), base, [2, 3])
+
+
 # -- entropy --
 
 
@@ -141,6 +171,7 @@ def entropy_edge_cases():
         ("apart in iy only", [[0.3, 0.1], [0.3, 0.9]], [0.25, 0.75], GridPartition(2, 3)),
         ("beside a zero weight", [[0.1, 0.1], [0.9, 0.9]], [0.0, 1.0], GridPartition(2, 3)),
         ("after a zero weight", [[0.9, 0.9], [0.1, 0.1]], [1.0, 0.0], GridPartition(3, 2)),
+        ("one weight counted", [[0.9, 0.9], [0.1, 0.1]], [0.0, 1.0], GridPartition(2, 1)),
     ]
     three = [[0.1, 0.7], [0.9, 0.7], [0.1, 0.2]], [0.5, 0.25, 0.25]
     cases += [(f"base 2 level {level}", *three, GridPartition(2, level)) for level in (0, 62)]

@@ -2,10 +2,12 @@
 each family in ``proptest.ALL_CHECKS`` runs here once, at seed 0, and its
 result is pinned to the line ``proptest --seed 0`` prints for it."""
 
+import math
+
 import numpy as np
 import pytest
 
-from carpetlab import proptest
+from carpetlab import proptest, scenery
 
 # (cases, detail) of every family at seed 0; adding, removing or changing a
 # family's output is an edit here
@@ -36,3 +38,12 @@ def test_family(name, check):
     assert result.name == name
     assert result.passed, result.detail
     assert (result.cases, result.detail) == SEED_0[name]
+
+
+def test_bound_chain_fails_through_the_report_raise(monkeypatch):
+    # the family compares no slack itself: bound_chain_report raises on a
+    # slack below -SLACK_TOL, and run_all records the raise as a failure
+    monkeypatch.setattr(scenery, "SLACK_TOL", -math.inf)
+    monkeypatch.setattr(proptest, "ALL_CHECKS", [("bound_chain", proptest.check_bound_chain)])
+    (result,) = proptest.run_all(0)
+    assert not result.passed and "chain violated" in result.detail

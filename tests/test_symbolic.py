@@ -10,6 +10,7 @@ from carpetlab import (
     RotationOrbit,
     SymbolWord,
     carry_shift,
+    exact_cover_cells,
     shift,
 )
 from carpetlab.errors import EmptyWord, SymbolOutOfRange, WordTooShort
@@ -52,6 +53,15 @@ def test_return_count_cumulative_consistency():
     counts = orbit.return_counts(200)
     for k in (0, 1, 57, 200):
         assert counts[k] == orbit.return_count(k)
+
+
+def test_return_counts_refuse_negative_k(example):
+    orbit = RotationOrbit(THETA, 0.3)
+    for call in (orbit.return_count, orbit.return_counts):
+        with pytest.raises(ValueError, match="k must be >= 0"):
+            call(-1)
+    with pytest.raises(ValueError, match="k must be >= 0"):
+        exact_cover_cells(example, Fraction(1, 3), Fraction(1, 5), -1, 0.3)
 
 
 def test_return_count_floor_bracket(rng):
