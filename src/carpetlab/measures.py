@@ -10,6 +10,7 @@ from typing import Iterable
 import numpy as np
 
 from .errors import InsufficientLevels, UnnormalizedMeasure, ZeroMassCell
+from .fit import log_scale_fit
 from .symbolic import ApproxSquare
 
 MASS_TOL = 1e-12
@@ -139,17 +140,19 @@ def entropy(mu: DiscreteMeasure, part: GridPartition) -> EntropyReport:
     """Shannon entropy (nats) of the cell masses of ``mu``.
 
     A normalized one-atom measure has one positive weight w in one cell, so
-    its points are not masked or grouped: h is -(w * log w) on the numpy
+    its points are not grouped: h is -(w * log w) on the numpy
     scalar w, the same ``np.log`` and the same product as the array sum of
-    one term, and so the same bits.
+    one term, and so the same bits.  Zero weights, which the checked
+    constructor allows, are not masked out: each adds an exact 0.0 to its
+    cell's sum, and ``_aggregate`` drops every cell whose sum is 0.0, in
+    either of its branches, so the masses are the same bits.
     """
     mu.require_normalized()
     if len(mu.weights) == 1:
         w = mu.weights[0]
         h, cells = float(-(w * np.log(w))), 1
     else:
-        mask = mu.weights > 0.0
-        masses = _aggregate(mu.points[mask], mu.weights[mask], part)
+        masses = _aggregate(mu.points, mu.weights, part)
         h = float(-(masses * np.log(masses)).sum())
         cells = len(masses)
     h = max(h, 0.0) + 0.0  # clamp rounding noise; + 0.0 drops negative zero
@@ -285,7 +288,8 @@ def _clamp(v: float) -> float:
 
 
 def finite_scale_dimension(mu: DiscreteMeasure, base: int, levels: Iterable[int]) -> float:
-    """Least-squares slope of grid entropy against level * log(base).
+    """Least-squares slope of grid entropy against level * log(base)
+    (``log_scale_fit``).
 
     A finite-scale stand-in for the dimension of the measure; exact only in
     the limit, reported as an estimate everywhere.
@@ -293,8 +297,5 @@ def finite_scale_dimension(mu: DiscreteMeasure, base: int, levels: Iterable[int]
     lvls = sorted(set(int(l) for l in levels))
     if len(lvls) < 2:
         raise InsufficientLevels("need at least 2 levels")
-    parts = [GridPartition(base, l) for l in lvls]
-    xs = np.array([part.norm_log for part in parts])
-    hs = np.array([entropy(mu, part).entropy for part in parts])
-    slope = np.polyfit(xs, hs, 1)[0]
-    return float(slope)
+    hs = [entropy(mu, GridPartition(base, l)).entropy for l in lvls]
+    return log_scale_fit(lvls, hs, base)[0]

@@ -17,7 +17,8 @@ import numpy as np
 from .carpet import Carpet, box_packing_dimension, hausdorff_chain, hausdorff_dimension, packing_chain
 from .errors import BlockTooDeep, WordTooShort, ZeroMassCell
 from .measures import DiscreteMeasure, GridPartition, condition_rescale, entropy, holds_mass
-from .symbolic import ApproxSquare, SymbolWord, carry_shift, shift
+from .symbolic import ApproxSquare, SymbolWord, shift
+from .symbolic import carry_shift  # no step calls it; perfbench/spans.py patches scenery.carry_shift
 
 MAX_STEPS = 10**5
 SLACK_TOL = 1e-9
@@ -28,8 +29,9 @@ class SceneryState:
     """Measure, digit-addressed point, rotation phase, and constraint word.
 
     ``x_word``/``y_word`` are the expansions of the tracked point; ``omega``
-    is the vertical digit word as seen by the horizontal side, which lags
-    behind ``y_word`` because it only advances on carry steps.
+    is the vertical digit word that the window tables read
+    (``empirical_measures_linear``), fixed over the orbit: a magnification
+    step passes it through unchanged.
     """
 
     mu: DiscreteMeasure
@@ -47,8 +49,7 @@ def magnify_step(state: SceneryState, theta: float) -> SceneryState:
     new_x = shift(state.x_word) if carry else state.x_word
     new_y = shift(state.y_word)
     new_u = (state.u + theta) % 1.0
-    new_omega = carry_shift(state.omega, state.u, theta)
-    return SceneryState(mu=mu, x_word=new_x, y_word=new_y, u=new_u, omega=new_omega)
+    return SceneryState(mu=mu, x_word=new_x, y_word=new_y, u=new_u, omega=state.omega)
 
 
 def state_from_cell(

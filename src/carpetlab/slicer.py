@@ -18,6 +18,7 @@ import numpy as np
 
 from .carpet import Carpet, dimension_report
 from .errors import AxisParallelLine, CellBudgetExceeded, InsufficientData
+from .fit import log_scale_fit
 from .symbolic import ApproxSquare, RotationOrbit, SymbolWord, digits_to_index
 
 DEFAULT_BUDGET = 10**8
@@ -469,7 +470,8 @@ def carpet_bounds(c: Carpet) -> dict[str, float]:
 def estimate_slice_dimension(
     c: Carpet, counts: list[tuple[int, int]], drop_head: int = 3
 ) -> SliceEstimate:
-    """Least-squares slope of log N_k against k log n.
+    """Least-squares slope of log N_k against k log n (``log_scale_fit``),
+    clamped below at 0, and its standard error.
 
     The first ``drop_head`` entries are discarded as transient: shallow
     counts are dominated by the bounded aspect-ratio constant of the cells,
@@ -481,19 +483,8 @@ def estimate_slice_dimension(
     usable = [(k, nk) for k, nk in tail if nk > 0]
     if len(usable) < 3:
         raise InsufficientData(f"need >= 3 positive depths after drop_head, have {len(usable)}")
-    log_n = math.log(c.n)
-    xs = np.array([k * log_n for k, _ in usable])
-    ys = np.array([math.log(nk) for _, nk in usable])
-    slope, intercept = np.polyfit(xs, ys, 1)
-    resid = ys - (slope * xs + intercept)
-    dof = len(usable) - 2
-    sxx = float(((xs - xs.mean()) ** 2).sum())
-    stderr = math.sqrt(float((resid**2).sum()) / dof / sxx) if dof > 0 and sxx > 0 else 0.0
-    return SliceEstimate(
-        slope=max(0.0, float(slope)),
-        stderr=stderr,
-        depths=[k for k, _ in usable],
-    )
+    slope, stderr = log_scale_fit([k for k, _ in usable], [math.log(nk) for _, nk in usable], c.n)
+    return SliceEstimate(slope=max(0.0, slope), stderr=stderr, depths=[k for k, _ in usable])
 
 
 def exact_cover_cells(

@@ -243,7 +243,7 @@ def test_sweep_single_matches_slice(example_file, capsys):
     lines = capsys.readouterr().out.strip().splitlines()
     assert len(lines) == 2
     row = lines[1].split(",")
-    assert abs(float(row[2]) - slice_payload["slope"]) < 1e-12
+    assert float(row[2]) == slice_payload["slope"]  # one fit serves both
 
 
 def test_sweep_grid(example_file, capsys):
@@ -557,7 +557,11 @@ def test_scenery_empty_slice(example_file, capsys):
 # ``out/chain.json`` with ``sha256sum``: only the last bits of
 # ``h_rate_curve`` and ``h_rate_estimate`` moved, by at most 1 ulp, and every
 # orbit digest stayed.  With n = 3 and --block 8 the 5x3 case reads
-# ``h_nu``, ``h_eta`` and eight lengths of ``h_rate_curve``.
+# ``h_nu``, ``h_eta`` and eight lengths of ``h_rate_curve``.  The second
+# chain digest was re-recorded the same way when ``gamma_proxy`` came to be
+# fitted in closed form (``fit.log_scale_fit``) instead of by ``np.polyfit``:
+# only ``gamma_proxy`` moved, by 4 ulps; the other three chains kept their
+# bits.
 SPARSE_5X3 = "# 5x3 test carpet\n5 3\n0 0\n2 0\n4 0\n1 1\n3 1\n2 2\n"
 
 
@@ -573,7 +577,7 @@ SPARSE_5X3 = "# 5x3 test carpet\n5 3\n0 0\n2 0\n4 0\n1 1\n3 1\n2 2\n"
         (
             ["--carpet", "example.txt", "--u0", "0.37", "--t", "0.21", "--steps", "20000"],
             14,
-            "c761326f31e6ea3e7ba85a4483be331f3aabf79298835e63dce07ca78fbfdd2d",
+            "efeb95d547d9acc9ddd059ff27a3b5214ac8a4f6a4c8f34b9377d66cf7850237",
             "87d8868f18d5e7a8b28d4a5fc777fda221cc12d61d39843c6c90b8cb71077407",
         ),
         (
@@ -625,11 +629,16 @@ def test_scenery_one_row_carpet_zero_entropy(tmp_path, capsys):
 # The digests were recorded before the settings that had one value in use
 # (the cover's outward margin, mixed-axis grids, non-fatal proptest
 # families) became constants; every later change must keep these bytes.
+# SLICE_JSON, SWEEP_CSV, SLOPES_SWEEP_CSV and DEEP_SWEEP_CSV were re-recorded
+# when the slope fit became closed-form (``fit.log_scale_fit``) instead of
+# ``np.polyfit``, by running ``python -m carpetlab ARGV`` in ``carpets/`` and
+# hashing stdout with ``sha256sum``: only the last bits of ``slope`` and
+# ``stderr`` moved.
 ANALYZE_JSON = "bb6910862e4c543bca00fe71f04bfa05ffe2cfe14d083928be68b6833c178e79"
 ANALYZE_CSV = "db5b88255d6c5ae8636fc0b89989b68d862d261219f0ed87ff7cf05f0cb0673b"
-SLICE_JSON = "25fd237179f800b256ca65bc6ee82ed661ca6b8fdbe492f3d5565fa31942e61b"
+SLICE_JSON = "ae203e136bab3f59d0618eb5276286cc45c90686c48ffddf8a95e3a4506782a0"
 SLICE_CSV = "7f2fe1d395833d3c668db0a5fd1c256a418bd9023a8f9c3c608cde66d42711c4"
-SWEEP_CSV = "454ca176d5b5a9ce61fb92afc66adff95205475b3b6995381f5dcb8a434eb9f6"
+SWEEP_CSV = "6699d9e363e8f422a28430996700ac441e79a70b478a7ed5f27570171491a099"
 SLICE_ARGS = ["slice", "--carpet", "example.txt", "--u0", "0.4", "--t", "0.2", "--depths", "4..12"]
 # the payloads of a cover that is empty, or too shallow to regress, and the
 # scenery report of an empty slice (its orbit.jsonl is the empty file)
@@ -640,9 +649,9 @@ SHALLOW_CSV = "a87b45f8cc76a470c08cf7db6b68038cd7122cc5ddd498ae4456069533209105"
 EMPTY_CHAIN = "e249667255bb7fd740656181e9d328c69a0dc780d8b483bfd57a25d904f2a787"
 EMPTY_FILE = hashlib.sha256(b"").hexdigest()
 # sweeps whose lines share their carries across different exponent floats,
-# recorded while each exponent float still walked alone
-SLOPES_SWEEP_CSV = "d866f02671b3744d1b9a87d525c499720bc1f35fc9ae1442bc7a112a34c309a1"
-DEEP_SWEEP_CSV = "1e27dadcd461c403d3899450e5a1c5da39f573d421e1357c3e766bbbc79d337e"
+# first recorded while each exponent float still walked alone
+SLOPES_SWEEP_CSV = "389c250d66e2955d1db2e62304004cb5652ec0a3b5ec6631a430f6d2b3b10887"
+DEEP_SWEEP_CSV = "1b3bb43fc7f661a2e4204a8aafd24646c1717876247f78a4fc0f30c6f96ed718"
 
 
 @pytest.mark.parametrize(

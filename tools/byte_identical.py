@@ -45,6 +45,7 @@ import sys
 import tempfile
 from fractions import Fraction
 from pathlib import Path
+from typing import Iterator
 
 README_EXAMPLES = (
     "analyze  --carpet carpets/example.txt",
@@ -65,20 +66,56 @@ ONE_ATOM_STATES = 64
 ONE_ATOM_STEPS = 200
 
 
-def run_command(root: Path, cwd: Path, argv: list[str]) -> str:
-    """sha256 of one command's exit code, stdout, stderr and ``--out`` files."""
+def capture(root: Path, cwd: Path, argv: list[str]) -> tuple[int, bytes, bytes, dict[str, bytes]]:
+    """One command's exit code, stdout, stderr and ``--out`` files (by
+    relative path, in sorted order), run from ``root``'s ``src/`` in ``cwd``."""
     out = cwd / "out"
     shutil.rmtree(out, ignore_errors=True)
     env = dict(os.environ, PYTHONPATH=str(root / "src"), PYTHONDONTWRITEBYTECODE="1")
     cmd = [sys.executable, "-m", "carpetlab", *argv, "--out", "out"]
     proc = subprocess.run(cmd, cwd=cwd, env=env, capture_output=True)
-    digest = hashlib.sha256(f"{proc.returncode}\n".encode())
-    for part in (proc.stdout, proc.stderr):
-        digest.update(f"{len(part)}\n".encode() + part)
+    files = {}
     for path in sorted(out.rglob("*")) if out.exists() else ():
-        data = path.read_bytes()
-        digest.update(f"{path.relative_to(out)} {len(data)}\n".encode() + data)
+        files[str(path.relative_to(out))] = path.read_bytes()
+    return proc.returncode, proc.stdout, proc.stderr, files
+
+
+def run_command(root: Path, cwd: Path, argv: list[str]) -> str:
+    """sha256 of one command's exit code, stdout, stderr and ``--out`` files."""
+    code, stdout, stderr, files = capture(root, cwd, argv)
+    digest = hashlib.sha256(f"{code}\n".encode())
+    for part in (stdout, stderr):
+        digest.update(f"{len(part)}\n".encode() + part)
+    for name, data in files.items():
+        digest.update(f"{name} {len(data)}\n".encode() + data)
     return digest.hexdigest()
+
+
+def commands(cwd: Path) -> Iterator[tuple[str, list[str]]]:
+    """The set's CLI commands as (item, argv), in the order they run.  The
+    carpet files a command reads are in ``cwd`` when it is yielded: a plan's
+    seeded carpets are written just before its commands, since the plans of
+    two seeds reuse file names.  ``workloads`` is imported from the checkout
+    on ``sys.path``."""
+    import workloads
+
+    shutil.copytree(workloads.CARPET_DIR, cwd / "carpets")
+    for example in README_EXAMPLES:
+        yield f"readme: {' '.join(example.split())}", example.split()
+    for command in DEEP_COMMANDS:
+        yield f"deep: {command}", command.split()
+    for name in CLI_WORKLOADS:
+        for seed in CLI_SEEDS:
+            plan = workloads.PLANS[name](seed)
+            for key, spec in plan.carpets.items():
+                target = cwd / f"{key}.txt"
+                if spec.path is not None:
+                    shutil.copyfile(spec.path, target)
+                else:
+                    target.write_text(spec.text())
+            for i, op in enumerate(plan.ops):
+                args = [f"{op.carpet}.txt" if a == "{carpet}" else a for a in op.argv]
+                yield f"{name}:{seed}:{i}", args
 
 
 def exact_digits(x: float, base: int, count: int) -> list[int]:
@@ -157,23 +194,8 @@ def main(argv=None) -> int:
     digests: dict[str, str] = {}
     with tempfile.TemporaryDirectory() as tmp:
         cwd = Path(tmp)
-        shutil.copytree(root / "carpets", cwd / "carpets")
-        for example in README_EXAMPLES:
-            digests[f"readme: {' '.join(example.split())}"] = run_command(root, cwd, example.split())
-        for command in DEEP_COMMANDS:
-            digests[f"deep: {command}"] = run_command(root, cwd, command.split())
-        for name in CLI_WORKLOADS:
-            for seed in CLI_SEEDS:
-                plan = workloads.PLANS[name](seed)
-                for key, spec in plan.carpets.items():
-                    target = cwd / f"{key}.txt"
-                    if spec.path is not None:
-                        shutil.copyfile(spec.path, target)
-                    else:
-                        target.write_text(spec.text())
-                for i, op in enumerate(plan.ops):
-                    args = [f"{op.carpet}.txt" if a == "{carpet}" else a for a in op.argv]
-                    digests[f"{name}:{seed}:{i}"] = run_command(root, cwd, args)
+        for item, argv in commands(cwd):
+            digests[item] = run_command(root, cwd, argv)
     for seed in ORBIT_SEEDS:
         digest = hashlib.sha256()
         for op in workloads.PLANS["long-orbit"](seed).ops:
