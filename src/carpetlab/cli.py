@@ -32,6 +32,7 @@ from .scenery import (
     empirical_measures_linear,
     run_scenery,
     state_from_cell,
+    window_split,
 )
 from .slicer import (
     DEFAULT_BUDGET,
@@ -251,6 +252,7 @@ def cmd_scenery(args) -> int:
     if args.stride < 1:
         raise ValueError(f"stride must be >= 1, got {args.stride}")
     c = load_carpet(args.carpet)
+    window_split(args.steps, c.theta)  # both windows must hold a shift
     GridPartition(c.n, args.probe_level)  # rejects a negative or int64-overflowing level
     lo, hi = args.depths
     line = _build_line(c, args.u0, args.slope, args.t, args.sign)

@@ -70,16 +70,27 @@ def state_from_cell(
         xw.append(min(c.row_digits(yw[len(xw)])))
     while len(yw) < len(xw):
         yw.append(min(c.column_rows(xw[len(yw)])))
-    # filler digit i (i >= len(yw)) is the pair pairs[i % len(pairs)]
-    pairs = np.array(sorted(c.digits))
+    pairs = sorted(c.digits)
     count = max(0, length - len(yw))
-    cycle = np.roll(pairs, -len(yw), axis=0)
-    filler = np.tile(cycle, (-(-count // len(cycle)), 1))[:count]
-    digits = np.concatenate((np.array([xw, yw], dtype=np.int64).T, filler))
-    y_word = SymbolWord(c.n, digits[:, 1])
-    state = SceneryState(
-        mu=mu, x_word=SymbolWord(c.m, digits[:, 0]), y_word=y_word, u=u0, omega=y_word
-    )
+
+    def word(base: int, head: list[int], column: int) -> SymbolWord:
+        # the head is range-checked as a word of its own, so a cell symbol
+        # past the narrow dtype raises SymbolOutOfRange, not OverflowError
+        head = SymbolWord(base, head).array
+        digits = np.empty(len(head) + count, dtype=head.dtype)
+        digits[: len(head)] = head
+        # filler digit i (i >= len(yw)) is coordinate ``column`` of
+        # pairs[i % len(pairs)]: one period, then doubling copies of it
+        filler, filled = digits[len(head) :], min(len(pairs), count)
+        filler[:filled] = np.roll([p[column] for p in pairs], -len(head))[:filled]
+        while filled < count:
+            step = min(filled, count - filled)
+            filler[filled : filled + step] = filler[:step]
+            filled += step
+        return SymbolWord(base, digits)
+
+    y_word = word(c.n, yw, 1)
+    state = SceneryState(mu=mu, x_word=word(c.m, xw, 0), y_word=y_word, u=u0, omega=y_word)
     if not holds_mass(mu, cell):  # the start cell, not conditioned on
         raise ZeroMassCell("cell carries no mass")
     return state
@@ -225,12 +236,13 @@ def _window_tables(
     length's code space stays within 4 N; past that, ``_dense_ranks``
     compacts them to their ranks among the K_b distinct codes, in
     ascending order, so the next space is K_b * n.  Spaces stay below
-    max(4 N, N * n), and the codes are exact int64 at every length.
-    Blocks are counted only at ``depth``: every length counts the same N
-    shifts, so a shorter block's count is the sum of its extensions'
-    counts, and each shorter table is that marginal, in exact integers.
-    ``eta``'s counts are ``rho``'s less ``nu``'s, as the two partial
-    windows split [1, N].
+    max(4 N, N * n), and the codes are exact int64 at every length; one
+    code array grows in place.  Blocks are counted only at ``depth``, and
+    each shift once: ``nu`` counts the codes of [1, split] and ``eta``
+    those of [split + 1, N].  Every length counts the same shifts, so a
+    shorter block's count is the sum of its extensions' counts, and each
+    shorter table is that marginal, in exact integers.  The two partial
+    windows split [1, N], so ``rho`` is ``nu`` plus ``eta``.
 
     Assumes a counting rank's flag table, one entry per code of the space,
     fits: it is used only while the space is at most 4 N, and a larger
@@ -243,7 +255,8 @@ def _window_tables(
     # spaces[b - 1][r]: the code that length-b rank r stands for, ascending
     codes, size, spaces = np.zeros(n_steps, dtype=np.int64), 1, []
     for b in range(1, depth + 1):
-        codes = codes * n + arr[b - 1 : b - 1 + n_steps]
+        np.multiply(codes, n, out=codes)
+        np.add(codes, arr[b - 1 : b - 1 + n_steps], out=codes)
         size *= n
         if size * n > limit:  # the next length's space would pass the limit
             codes, space = _dense_ranks(codes, size)
@@ -251,15 +264,15 @@ def _window_tables(
         else:
             space = np.arange(size)
         spaces.append(space)
-    rho = [np.bincount(codes, minlength=size)]
     nu = [np.bincount(codes[:split], minlength=size)]
+    eta = [np.bincount(codes[split:], minlength=size)]
     # the length-(b-1) marginals; float64 sums of counts <= N are exact
     for b in range(depth, 1, -1):
         up, size = spaces[b - 1] // n, len(spaces[b - 2])
-        rho.append(np.bincount(up, weights=rho[-1], minlength=size).astype(np.int64))
         nu.append(np.bincount(up, weights=nu[-1], minlength=size).astype(np.int64))
-    rho, nu = tuple(rho[::-1]), tuple(nu[::-1])
-    eta = tuple(r - e for r, e in zip(rho, nu))
+        eta.append(np.bincount(up, weights=eta[-1], minlength=size).astype(np.int64))
+    nu, eta = tuple(nu[::-1]), tuple(eta[::-1])
+    rho = tuple(a + b for a, b in zip(nu, eta))
     symbols = spaces[0]  # a length-1 code is its symbol
     return (
         BlockTable(width=split, symbols=symbols, counts=nu),
@@ -309,13 +322,28 @@ class EmpiricalTriple:
         }
 
 
+def window_split(n_steps: int, theta: float) -> int:
+    """floor(N theta), the last shift of the early window [1, floor(N theta)].
+
+    Raises ValueError unless theta lies in (0, 1), as the rotation orbit
+    requires, and each window holds a shift: 1 <= floor(N theta) < N.
+    """
+    if not 0.0 < theta < 1.0:
+        raise ValueError(f"theta must be in (0, 1), got {theta}")
+    split = math.floor(n_steps * theta)
+    if split < 1 or split >= n_steps:
+        raise ValueError(f"N={n_steps} leaves an empty window for theta={theta}")
+    return split
+
+
 def empirical_measures_linear(
     omega: SymbolWord, n_steps: int, theta: float, block: int = 6
 ) -> EmpiricalTriple:
     """Window tables over shifts [1, floor(N theta)], the rest, and all of [1, N].
 
     The two partial windows split [1, N], so the block counts satisfy
-    ``rho = nu + eta``; all three tables come from one count over [1, N].
+    ``rho = nu + eta``; all three tables come from one pass over [1, N]
+    that counts each shift once.  ``window_split`` states the window rule.
     Also reports the total-variation residual (on length-``block`` blocks)
     between the full-window table and the theta-weighted mix of the two
     partial windows; it vanishes as N grows, at the speed of the floor error.
@@ -324,9 +352,7 @@ def empirical_measures_linear(
         raise ValueError(f"block must be >= 1, got {block}")
     if len(omega) < n_steps + block:
         raise WordTooShort(f"need {n_steps + block} symbols, have {len(omega)}")
-    split = math.floor(n_steps * theta)
-    if split < 1 or split >= n_steps:
-        raise ValueError(f"N={n_steps} leaves an empty window for theta={theta}")
+    split = window_split(n_steps, theta)
     nu, eta, rho = _window_tables(omega, n_steps, split, block)
     return EmpiricalTriple(
         nu=nu,

@@ -826,6 +826,22 @@ def test_scenery_rejects_bad_integer_parameter(full_file, capsys, flag, value):
     assert captured.err.startswith(f"parameter error: {flag[2:]} must be")
 
 
+def test_scenery_rejects_an_empty_window_before_the_walk(capsys, monkeypatch):
+    # floor(1 * theta) = 0 leaves the early window [1, 0] empty; the window
+    # rule is checked right after the carpet is read, before any walk or orbit
+    def no_walk(*args, **kwargs):
+        raise AssertionError("slice walk started")
+
+    monkeypatch.setattr(cli, "slice_cover", no_walk)
+    path = str(CARPETS / "example.txt")
+    theta = cli.load_carpet(path).theta
+    assert main(["scenery", "--carpet", path, "--u0", "0.4", "--steps", "1"]) == 3
+    assert capsys.readouterr() == (
+        "",
+        f"parameter error: N=1 leaves an empty window for theta={theta}\n",
+    )
+
+
 @pytest.mark.parametrize(
     "argv,flags",
     [

@@ -301,6 +301,56 @@ def test_words_are_read_only_narrow_arrays(example):
         SymbolWord(2, (0, 2**70))
 
 
+def documented_words(c, cell, length):
+    """The start words as the README states them, built symbol by symbol.
+
+    The cell's digits; then the shorter word padded (the smallest digit of
+    the row, or the smallest row of the column); then, from index len(yw)
+    on, the sorted digit pairs taken cyclically: symbol i is pairs[i % |D|].
+    """
+    xw, yw = list(cell.x_word.symbols), list(cell.y_word.symbols)
+    while len(xw) < len(yw):
+        xw.append(min(c.row_digits(yw[len(xw)])))
+    while len(yw) < len(xw):
+        yw.append(min(c.column_rows(xw[len(yw)])))
+    pairs = sorted(c.digits)
+    for i in range(len(yw), length):
+        xw.append(pairs[i % len(pairs)][0])
+        yw.append(pairs[i % len(pairs)][1])
+    return xw, yw
+
+
+@pytest.mark.parametrize(
+    "m,n,digits,x_cell,y_cell",
+    [
+        (3, 2, [(0, 0), (2, 0), (1, 1)], (2,), (1, 0, 1, 1)),  # y word longer
+        (3, 2, [(0, 0), (2, 0), (1, 1)], (1, 2, 0, 2, 1), (1,)),  # x word longer
+        (300, 2, [(0, 0), (299, 0), (150, 1), (7, 1)], (299, 7), (0,)),  # uint16 x word
+    ],
+)
+def test_state_from_cell_words_follow_the_documented_construction(m, n, digits, x_cell, y_cell):
+    c = new_carpet(m, n, digits)
+    cell = ApproxSquare(SymbolWord(m, x_cell), SymbolWord(n, y_cell))
+    mu = DiscreteMeasure.point_mass(*cell.center())
+    for length in (0, 2, 5, 6, 7, 11, 1000):
+        state = state_from_cell(c, cell, mu, 0.3, length)
+        xw, yw = documented_words(c, cell, length)
+        assert state.x_word.symbols == tuple(xw) and state.y_word.symbols == tuple(yw)
+        assert state.x_word.array.dtype == (np.uint16 if m > 256 else np.uint8)
+        assert state.y_word.array.dtype == np.uint8
+        assert state.omega is state.y_word
+
+
+def test_state_from_cell_refuses_a_cell_symbol_past_the_narrow_dtype(example):
+    # 300 fits no uint8: it must reach the range check, not overflow
+    cell = ApproxSquare(SymbolWord(1000, (300,)), SymbolWord(2, (0,)))
+    with pytest.raises(SymbolOutOfRange, match="^symbol 300 outside alphabet of size 3$"):
+        state_from_cell(example, cell, DiscreteMeasure.point_mass(0.1, 0.1), 0.3, 50)
+    cell = ApproxSquare(SymbolWord(3, (0,)), SymbolWord(1000, (256,)))
+    with pytest.raises(SymbolOutOfRange, match="^symbol 256 outside alphabet of size 2$"):
+        state_from_cell(example, cell, DiscreteMeasure.point_mass(0.1, 0.1), 0.3, 50)
+
+
 # -- window measures --
 
 
@@ -523,6 +573,26 @@ def test_window_table_compacts_lazily(rng, monkeypatch, n, n_steps, depth, compa
     triple = linear_tables(n, symbols, n_steps, n_steps // 3, depth)
     assert_same_windows(triple, symbols)
     assert len(calls) == compactions
+
+
+def test_window_table_counts_each_shift_once(rng, monkeypatch):
+    # nu counts the codes of [1, split] and eta those of [split + 1, N]; rho
+    # is their sum, so the unweighted counts see N codes, not N + split
+    counted = []
+    bincount = np.bincount
+
+    def recorded(*args, **kwargs):
+        if kwargs.get("weights") is None and len(args) < 2:
+            counted.append(len(args[0]))
+        return bincount(*args, **kwargs)
+
+    monkeypatch.setattr(np, "bincount", recorded)
+    n, n_steps, depth = 2, 99_000, 6
+    symbols = tuple(int(s) for s in rng.integers(0, n, size=n_steps + depth))
+    triple = linear_tables(n, symbols, n_steps, n_steps // 3, depth)
+    assert sum(counted) == n_steps
+    monkeypatch.undo()
+    assert_same_windows(triple, symbols)
 
 
 def test_window_table_edges():
